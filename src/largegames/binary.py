@@ -60,8 +60,9 @@ class DynamicsParams:
     """Accuracy/confidence pair with the derived band, step and horizon.
 
     band = (sqrt(1 + 8 alpha) - 1) / 2 makes the band's worst-case regret
-    exactly 1/8 + alpha; the step is a quarter band and the horizon is
-    the number of steps needed to sweep the whole probability range.
+    exactly 1/8 + alpha; it is the curve band at c = 1.  The step is a
+    quarter band and the horizon is the number of steps needed to sweep
+    the whole probability range.
     """
 
     alpha: float
@@ -75,19 +76,25 @@ class DynamicsParams:
 
     @cached_property
     def band(self) -> float:
-        return (math.sqrt(1.0 + 8.0 * self.alpha) - 1.0) / 2.0
+        return curve_band(self.alpha, 1.0)
 
     @cached_property
     def step(self) -> float:
-        return self.band / 4.0
+        return _schedule(self.band)[0]
 
     @cached_property
     def rounds(self) -> int:
-        return math.ceil(2.0 / self.step)
+        return _schedule(self.band)[1]
 
     def as_dict(self) -> dict:
         return {"alpha": self.alpha, "eta": self.eta, "band": self.band,
                 "step": self.step, "rounds": self.rounds}
+
+
+def _schedule(band: float) -> tuple[float, int]:
+    """Quarter-band step and the rounds needed to sweep the probability range."""
+    step = band / 4.0
+    return step, math.ceil(2.0 / step)
 
 
 @dataclass(frozen=True)
@@ -107,21 +114,21 @@ def label_bad_players(vhat: np.ndarray, p_one: np.ndarray) -> BadGoodLabels:
 
 
 class DynamicsRecorder:
-    """Optional per-round capture of probabilities, residuals and signs."""
+    """Optional per-round capture of the probabilities, residuals and
+    best-response signs each round starts from, plus the final probabilities."""
 
     def __init__(self):
         self._probs = []
         self._residuals = []
         self._signs = []
 
-    def start(self, p_one):
-        self._probs.append(np.array(p_one))
-
-    def step(self, p_one, residual, signs=None):
+    def __call__(self, p_one, values, residual):
         self._probs.append(np.array(p_one))
         self._residuals.append(np.array(residual))
-        if signs is not None:
-            self._signs.append(np.array(signs))
+        self._signs.append(np.where(values[:, 1] >= values[:, 0], 1, -1))
+
+    def finish(self, p_one):
+        self._probs.append(np.array(p_one))
 
     @property
     def probs(self) -> np.ndarray:
@@ -195,25 +202,54 @@ def two_step(session: OracleSession, mode: str = "exact",
     return profile, report
 
 
-def _plane_rounds(est: _MixedEstimator, p: np.ndarray, band: float, step: float,
-                  rounds: int, recorder: DynamicsRecorder | None):
-    """Banded plane pursuit: off-band states step toward the band, in-band
-    states track payoff changes to stay put.  Returns (p, last estimate)."""
-    vhat_prev = est(p)
-    if recorder is not None:
-        recorder.start(p)
-    for _ in range(rounds):
-        vhat = est(p)
-        dv = vhat - vhat_prev
-        resid = plane_residual(vhat[:, 1], vhat[:, 0], p)
-        off = np.abs(resid) > band / 4.0
+def _banded_rounds(est, rule, p, v_prev, v, rounds, record=None):
+    """The round loop of every banded dynamics and flow.
+
+    Each round ``rule(p, v, v_prev)`` turns the estimates at p and at the
+    round before into the next p (a step toward the target set off the
+    band, payoff tracking inside it) and the residual to the target;
+    ``record`` sees the state the round starts from.  The next estimate is
+    taken at the clipped p except after the last round.  Returns (p, last v).
+    """
+    for r in range(rounds):
+        p_next, resid = rule(p, v, v_prev)
+        if record is not None:
+            record(p, v, resid)
+        p, v_prev = np.clip(p_next, 0.0, 1.0), v
+        if r + 1 < rounds:
+            v = est(p)
+    return p, v_prev
+
+
+def _plane_rule(step: float, bad: np.ndarray | None = None):
+    """Plane pursuit: players off the band (residual beyond a step) step
+    toward the plane, the rest track half the payoff-gap change.  With a
+    ``bad`` mask (the broadcast march) the flagged players step toward
+    their best response instead and the rest track."""
+    def rule(p, v, v_prev):
+        resid = plane_residual(v[:, 1], v[:, 0], p)
+        dv = v - v_prev
         tracking = (dv[:, 1] - dv[:, 0]) / 2.0
-        move = np.where(off, -np.sign(resid) * step, tracking)
-        p = np.clip(p + move, 0.0, 1.0)
-        vhat_prev = vhat
-        if recorder is not None:
-            recorder.step(p, resid, np.where(vhat[:, 1] >= vhat[:, 0], 1, -1))
-    return p, vhat_prev
+        if bad is None:
+            move = np.where(np.abs(resid) > step, -np.sign(resid) * step, tracking)
+        else:
+            move = np.where(bad, np.where(v[:, 1] >= v[:, 0], 1.0, -1.0) * step, tracking)
+        return p + move, resid
+    return rule
+
+
+def _banded(session, params, band, mode, sample_beta, make_rule, recorder):
+    """Set up the estimator for a band and run the banded rounds from the
+    uniform start.  Returns (estimator, p, step, rounds)."""
+    step, rounds = _schedule(band)
+    beta = sample_beta if sample_beta is not None else step
+    est = _MixedEstimator(session, mode, beta, params.eta / rounds)
+    p = np.full(session.game.n, 0.5)
+    # the first round tracks against a second estimate at the start
+    p, _ = _banded_rounds(est, make_rule(step), p, est(p), est(p), rounds, recorder)
+    if recorder is not None:
+        recorder.finish(p)
+    return est, p, step, rounds
 
 
 def plane_dynamics(session: OracleSession, params: DynamicsParams, mode: str = "exact",
@@ -225,15 +261,12 @@ def plane_dynamics(session: OracleSession, params: DynamicsParams, mode: str = "
     relaxed override) and per-round confidence eta / rounds; exact mode
     substitutes exact mixed queries.
     """
-    beta = sample_beta if sample_beta is not None else params.step
-    delta = params.eta / params.rounds
-    est = _MixedEstimator(session, mode, beta, delta)
-    p, _ = _plane_rounds(est, np.full(session.game.n, 0.5), params.band,
-                         params.step, params.rounds, recorder)
+    est, p, _, _ = _banded(session, params, params.band, mode, sample_beta,
+                           _plane_rule, recorder)
     profile = MixedProfile.from_binary(p)
     run_params = params.as_dict() | {"mode": mode}
     if mode == "sampling":
-        run_params |= {"sample_beta": beta, "sample_delta": delta}
+        run_params |= {"sample_beta": est.beta, "sample_delta": est.delta}
     report = build_report("plane", run_params, session, profile, rounds=params.rounds)
     return profile, report
 
@@ -249,39 +282,23 @@ def communication_dynamics(session: OracleSession, params: DynamicsParams,
     toward their best responses for 0.15 probability mass while the rest
     track; then the (re-labelled) flagged players march a further 1/220.
     """
-    beta = sample_beta if sample_beta is not None else params.step
-    delta = params.eta / params.rounds
-    est = _MixedEstimator(session, mode, beta, delta)
-    p, _ = _plane_rounds(est, np.full(session.game.n, 0.5), params.band,
-                         params.step, params.rounds, recorder)
-
+    est, p, step, rounds = _banded(session, params, params.band, mode, sample_beta,
+                                   _plane_rule, recorder)
     vhat = est(p)  # fresh estimate at the settled profile for labelling
     labels = label_bad_players(vhat, p)
     theta_measured = labels.theta
-    rounds = params.rounds + 1
-
-    def march(p, vhat_prev, bad, n_rounds):
-        for _ in range(n_rounds):
-            vhat = est(p)
-            dv = vhat - vhat_prev
-            sign = np.where(vhat[:, 1] >= vhat[:, 0], 1.0, -1.0)
-            tracking = (dv[:, 1] - dv[:, 0]) / 2.0
-            move = np.where(bad, sign * params.step, tracking)
-            p = np.clip(p + move, 0.0, 1.0)
-            vhat_prev = vhat
-        return p, vhat_prev
+    rounds += 1
 
     theta_bit = labels.theta > 0.5
     if theta_bit:
-        balance_rounds = math.ceil(0.15 / params.step)
-        p, vhat = march(p, vhat, labels.bad, balance_rounds)
-        rounds += balance_rounds
+        balance = math.ceil(0.15 / step)
+        p, vhat = _banded_rounds(est, _plane_rule(step, labels.bad), p, vhat, est(p), balance)
+        rounds += balance
         labels = label_bad_players(vhat, p)
-
     if labels.bad.any():
-        final_rounds = math.ceil((1.0 / 220.0) / params.step)
-        p, vhat = march(p, vhat, labels.bad, final_rounds)
-        rounds += final_rounds
+        final = math.ceil((1.0 / 220.0) / step)
+        p, vhat = _banded_rounds(est, _plane_rule(step, labels.bad), p, vhat, est(p), final)
+        rounds += final
 
     profile = MixedProfile.from_binary(p)
     run_params = params.as_dict() | {"mode": mode, "theta": theta_measured,
@@ -318,6 +335,28 @@ def curve_regret_bound(c: float, alpha: float = 0.0) -> float:
     return value + alpha
 
 
+def _curve_state(p, v, c: float):
+    """Best-response direction, best-response mass, the uncapped line
+    1/2 + D/(2c), the discrepancy D and the residual to the capped curve."""
+    disc = np.abs(v[:, 1] - v[:, 0])
+    toward_one = v[:, 1] >= v[:, 0]
+    pstar = np.where(toward_one, p, 1.0 - p)
+    line = 0.5 + disc / (2.0 * c)
+    return toward_one, pstar, line, disc, pstar - np.minimum(line, 1.0)
+
+
+def _curve_rule(c: float, step: float):
+    def rule(p, v, v_prev):
+        toward_one, pstar, line, disc, rho = _curve_state(p, v, c)
+        d_disc = disc - np.abs(v_prev[:, 1] - v_prev[:, 0])
+        climb = np.minimum(pstar + step, np.minimum(line, 1.0))
+        track = np.clip(pstar + d_disc / (2.0 * c), 0.0, 1.0)
+        new_pstar = np.where((line >= 1.0) | (rho < -step), climb,
+                             np.where(pstar > line + step, pstar, track))
+        return np.where(toward_one, new_pstar, 1.0 - new_pstar), rho
+    return rule
+
+
 def curve_dynamics(session: OracleSession, params: DynamicsParams, c: float | None = None,
                    mode: str = "exact", sample_beta: float | None = None,
                    recorder: DynamicsRecorder | None = None):
@@ -331,39 +370,9 @@ def curve_dynamics(session: OracleSession, params: DynamicsParams, c: float | No
     """
     if c is None:
         c = session.game.c
-    if c <= 0:
-        raise ValueError("c must be positive")
     band = curve_band(params.alpha, c)
-    step = band / 4.0
-    rounds = math.ceil(2.0 / step)
-    beta = sample_beta if sample_beta is not None else step
-    delta = params.eta / rounds
-    est = _MixedEstimator(session, mode, beta, delta)
-
-    p = np.full(session.game.n, 0.5)
-    vhat_prev = est(p)
-    disc_prev = np.abs(vhat_prev[:, 1] - vhat_prev[:, 0])
-    if recorder is not None:
-        recorder.start(p)
-    for _ in range(rounds):
-        vhat = est(p)
-        disc = np.abs(vhat[:, 1] - vhat[:, 0])
-        d_disc = disc - disc_prev
-        toward_one = vhat[:, 1] >= vhat[:, 0]
-        pstar = np.where(toward_one, p, 1.0 - p)
-        line = 0.5 + disc / (2.0 * c)
-        target = np.minimum(line, 1.0)
-        rho = pstar - target
-
-        climb = np.minimum(pstar + step, target)
-        track = np.clip(pstar + d_disc / (2.0 * c), 0.0, 1.0)
-        new_pstar = np.where((line >= 1.0) | (rho < -band / 4.0), climb,
-                             np.where(pstar > line + band / 4.0, pstar, track))
-        p = np.where(toward_one, new_pstar, 1.0 - new_pstar)
-        vhat_prev, disc_prev = vhat, disc
-        if recorder is not None:
-            recorder.step(p, rho, np.where(toward_one, 1, -1))
-
+    _, p, step, rounds = _banded(session, params, band, mode, sample_beta,
+                                 lambda step: _curve_rule(c, step), recorder)
     profile = MixedProfile.from_binary(p)
     run_params = {"alpha": params.alpha, "eta": params.eta, "c": c, "band": band,
                   "step": step, "rounds": rounds, "mode": mode}

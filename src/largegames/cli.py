@@ -73,10 +73,9 @@ def cmd_run(args) -> int:
         if args.out:
             config.out = args.out
     else:
-        algo_params = {"alpha": args.alpha, "eta": args.eta, "blocks": args.blocks,
-                       "step_h": args.step_h, "horizon": args.horizon}
-        if args.algo == "curve" and args.algo_c is not None:
-            algo_params["c"] = args.algo_c
+        flag = {"c": "algo_c"}
+        algo_params = {key: getattr(args, flag.get(key, key))
+                       for key in runner.ALGOS[args.algo].reads}
         config = runner.ExperimentConfig(
             family={"family": args.family, "params": _family_params(args)},
             algo=args.algo, algo_params=algo_params, oracle=args.oracle,
@@ -161,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="largegames",
                                      description="payoff-query equilibrium experiments")
     sub = parser.add_subparsers(dest="command", required=True)
+    default = {key: value for key, (_, value) in runner.PARAMS.items()}
 
     def add_family(p, c_as_grid=False):
         p.add_argument("--family", default="linear-influence", choices=families.FAMILIES)
@@ -184,17 +184,18 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one algorithm over seeds")
     add_family(run)
     run.add_argument("--config", default=None, help="JSON ExperimentConfig to load")
-    run.add_argument("--algo", default="plane", choices=runner.ALGORITHMS)
+    run.add_argument("--algo", default="plane", choices=list(runner.ALGOS))
     run.add_argument("--oracle", default="exact", choices=["exact", "sampling"])
-    run.add_argument("--alpha", type=float, default=0.05)
-    run.add_argument("--eta", type=float, default=0.1)
+    run.add_argument("--alpha", type=float, default=default["alpha"])
+    run.add_argument("--eta", type=float, default=default["eta"])
     run.add_argument("--beta", type=float, default=None)
     run.add_argument("--delta", type=float, default=None)
     run.add_argument("--algo-c", type=float, default=None,
-                     help="influence budget for the curve dynamics (defaults to the game's)")
-    run.add_argument("--blocks", type=int, default=100)
-    run.add_argument("--step-h", type=float, default=1e-3, dest="step_h")
-    run.add_argument("--horizon", type=float, default=1.0)
+                     help="influence budget c for %s (defaults to the game's)" % ", ".join(
+                         name for name, entry in runner.ALGOS.items() if "c" in entry.reads))
+    run.add_argument("--blocks", type=int, default=default["blocks"])
+    run.add_argument("--step-h", type=float, default=default["step_h"], dest="step_h")
+    run.add_argument("--horizon", type=float, default=default["horizon"])
     run.add_argument("--downsample", type=int, default=1)
     run.add_argument("--seeds", default="0:1")
     run.add_argument("--out", default=None)
@@ -206,12 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_family(sweep, c_as_grid=True)
     sweep.add_argument("--algo", default="plane")
     sweep.add_argument("--oracle", default="exact", choices=["exact", "sampling"])
-    sweep.add_argument("--alpha", type=float, default=0.05)
+    sweep.add_argument("--alpha", type=float, default=default["alpha"])
     sweep.add_argument("--alpha-grid", default=None)
-    sweep.add_argument("--eta", type=float, default=0.1)
+    sweep.add_argument("--eta", type=float, default=default["eta"])
     sweep.add_argument("--beta", type=float, default=None)
     sweep.add_argument("--delta", type=float, default=None)
-    sweep.add_argument("--blocks", type=int, default=100)
+    sweep.add_argument("--blocks", type=int, default=default["blocks"])
     sweep.add_argument("--blocks-grid", default=None)
     sweep.add_argument("--n-grid", default=None)
     sweep.add_argument("--k-grid", default=None)

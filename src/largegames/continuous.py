@@ -10,12 +10,13 @@ step size to absorb the first-order integration drift.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .games import Game, MixedProfile, mixed_payoff_table
-from .binary import plane_residual
+from .binary import _banded_rounds, _curve_state, plane_residual
 
 
 @dataclass(frozen=True)
@@ -63,44 +64,46 @@ class Trajectory:
                                      repr(float(self.residual[m, i]))])
 
 
-def _exact_table(game: Game, p_one: np.ndarray) -> np.ndarray:
-    return mixed_payoff_table(game, MixedProfile.from_binary(p_one))
+def _flow(game: Game, rule, step_h: float, horizon: float, tol: float) -> Trajectory:
+    """Run the banded round loop from the uniform start with the exact
+    table as estimator and h as step, recording every step and the end."""
+    if game.k != 2:
+        raise ValueError("the flow is defined for binary games")
+    steps = int(round(horizon / step_h))
+    tr = Trajectory(times=np.arange(steps + 1) * step_h, v=np.empty((steps + 1, game.n, 2)),
+                    p=np.empty((steps + 1, game.n)), residual=np.empty((steps + 1, game.n)),
+                    band=tol)
+    rows = itertools.count()
+
+    def record(p, v, resid):
+        m = next(rows)
+        tr.v[m], tr.p[m], tr.residual[m] = v, p, resid
+
+    est = lambda p_one: mixed_payoff_table(game, MixedProfile.from_binary(p_one))
+    p = np.full(game.n, 0.5)
+    v = est(p)
+    p, v_prev = _banded_rounds(est, rule, p, v, v, steps, record)
+    v = est(p)
+    record(p, v, rule(p, v, v_prev)[1])
+    return tr
 
 
 def simulate_plane_flow(game: Game, step_h: float = 1e-3, horizon: float = 1.0) -> Trajectory:
     """Integrate the plane-reaching flow from the uniform start.
 
     Off the plane (residual beyond 2h) players move at unit speed toward
-    their current best response; on it they match half the difference of
-    payoff derivatives, which freezes the residual.
+    it; on it they match half the difference of payoff derivatives, which
+    freezes the residual.
     """
-    if game.k != 2:
-        raise ValueError("the flow is defined for binary games")
-    steps = int(round(horizon / step_h))
     tol = 2.0 * step_h
-    n = game.n
-    p = np.full(n, 0.5)
-    v_prev = _exact_table(game, p)
 
-    times = np.empty(steps + 1)
-    vs = np.empty((steps + 1, n, 2))
-    ps = np.empty((steps + 1, n))
-    res = np.empty((steps + 1, n))
-
-    v = v_prev
-    for m in range(steps + 1):
+    def rule(p, v, v_prev):
         d = plane_residual(v[:, 1], v[:, 0], p)
-        times[m], vs[m], ps[m], res[m] = m * step_h, v, p, d
-        if m == steps:
-            break
-        vdot = (v - v_prev) / step_h if m > 0 else np.zeros_like(v)
-        toward = np.where(v[:, 1] >= v[:, 0], 1.0, -1.0)
+        vdot = (v - v_prev) / step_h
         tracking = np.clip((vdot[:, 1] - vdot[:, 0]) / 2.0, -1.0, 1.0)
-        pdot = np.where(np.abs(d) > tol, toward, tracking)
-        p = np.clip(p + step_h * pdot, 0.0, 1.0)
-        v_prev = v
-        v = _exact_table(game, p)
-    return Trajectory(times=times, v=vs, p=ps, residual=res, band=tol)
+        return p + step_h * np.where(np.abs(d) > tol, -np.sign(d), tracking), d
+
+    return _flow(game, rule, step_h, horizon, tol)
 
 
 def simulate_curve_flow(game: Game, c: float, step_h: float = 1e-3,
@@ -111,37 +114,16 @@ def simulate_curve_flow(game: Game, c: float, step_h: float = 1e-3,
     the uncapped line it holds still; otherwise it tracks the
     discrepancy derivative scaled by 1/(2c).
     """
-    if game.k != 2:
-        raise ValueError("the flow is defined for binary games")
     if c <= 0:
         raise ValueError("c must be positive")
-    steps = int(round(horizon / step_h))
     tol = 2.0 * step_h * max(1.0, 1.0 / (2.0 * c))
-    n = game.n
-    p = np.full(n, 0.5)
-    v = _exact_table(game, p)
-    disc_prev = np.abs(v[:, 1] - v[:, 0])
 
-    times = np.empty(steps + 1)
-    vs = np.empty((steps + 1, n, 2))
-    ps = np.empty((steps + 1, n))
-    res = np.empty((steps + 1, n))
-
-    for m in range(steps + 1):
-        disc = np.abs(v[:, 1] - v[:, 0])
-        toward_one = v[:, 1] >= v[:, 0]
-        pstar = np.where(toward_one, p, 1.0 - p)
-        line = 0.5 + disc / (2.0 * c)
-        rho = pstar - np.minimum(line, 1.0)
-        times[m], vs[m], ps[m], res[m] = m * step_h, v, p, rho
-        if m == steps:
-            break
-        ddot = (disc - disc_prev) / step_h if m > 0 else np.zeros_like(disc)
+    def rule(p, v, v_prev):
+        toward_one, pstar, line, disc, rho = _curve_state(p, v, c)
+        ddot = (disc - np.abs(v_prev[:, 1] - v_prev[:, 0])) / step_h
         tracking = np.clip(ddot / (2.0 * c), -1.0, 1.0)
         pstar_dot = np.where(rho < -tol, 1.0,
                              np.where((rho > tol) & (pstar > line), 0.0, tracking))
-        pdot = np.where(toward_one, pstar_dot, -pstar_dot)
-        p = np.clip(p + step_h * pdot, 0.0, 1.0)
-        disc_prev = disc
-        v = _exact_table(game, p)
-    return Trajectory(times=times, v=vs, p=ps, residual=res, band=tol)
+        return p + step_h * np.where(toward_one, pstar_dot, -pstar_dot), rho
+
+    return _flow(game, rule, step_h, horizon, tol)

@@ -3,21 +3,108 @@ bounds, and deterministic parallel execution over seeds."""
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import binary, blocks, continuous, families
 from .games import MixedProfile
 from .oracles import OracleSession
 from .reports import RunReport, build_report
 
-ALGORITHMS = ("uniform", "one-step", "two-step", "plane", "plane-comm",
-              "curve", "block-update", "plane-flow", "curve-flow")
+# every algo_params key: (type, default); c defaults to the game's budget
+PARAMS = {"alpha": (float, 0.05), "eta": (float, 0.1), "c": (float, None),
+          "blocks": (int, 100), "step_h": (float, 1e-3), "horizon": (float, 1.0)}
 
-BINARY_ALGOS = {"uniform", "one-step", "two-step", "plane", "plane-comm",
-                "curve", "plane-flow", "curve-flow"}
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One entry of the algorithm table.
+
+    ``run(session, config, params)`` returns (profile, report, trajectory
+    or None); ``params`` holds the ``reads`` keys of ``algo_params``, with
+    defaults filled in, under the parameter names of the function run.
+    ``bound(params, game)`` is the worst-case regret an exact-oracle run
+    declares.  Runs look module functions up by name when called, so a
+    patched entry point is the one that runs.
+    """
+
+    run: Callable
+    bound: Callable | None = None
+    reads: tuple[str, ...] = ()
+    binary_only: bool = True
+    exact_only: bool = False
+
+    def read(self, algo_params: dict, game) -> dict:
+        out = {}
+        for key in self.reads:
+            cast, default = PARAMS[key]
+            value = algo_params.get(key, default)
+            out[key] = cast(game.c if key == "c" and value is None else value)
+        return out
+
+
+def _run_query(name, module=binary):
+    """One-step, two-step and block-update take the oracle settings directly."""
+    def run(session, config, params):
+        kwargs = {"beta": config.beta, "delta": config.delta}
+        out = getattr(module, name)(session, mode=config.oracle, **params,
+                                    **{k: v for k, v in kwargs.items() if v is not None})
+        return out[0], out[1], None
+    return run
+
+
+def _run_banded(name):
+    def run(session, config, params):
+        dparams = binary.DynamicsParams(alpha=params["alpha"], eta=params["eta"])
+        kwargs = {"c": params["c"]} if "c" in params else {}
+        return (*getattr(binary, name)(session, dparams, mode=config.oracle,
+                                       sample_beta=config.beta, **kwargs), None)
+    return run
+
+
+def _run_flow(name):
+    def run(session, config, params):
+        trajectory = getattr(continuous, name)(session.game, **params)
+        profile = MixedProfile.from_binary(trajectory.p[-1])
+        report = build_report(config.algo,
+                              {key: params[key] for key in ("step_h", "horizon")},
+                              session, profile, rounds=trajectory.times.shape[0] - 1)
+        return profile, report, trajectory
+    return run
+
+
+def _run_uniform(session, config, params):
+    profile = MixedProfile.uniform(session.game.n, session.game.k)
+    return profile, build_report("uniform", {}, session, profile, rounds=0), None
+
+
+ALGOS = {
+    "uniform": Algorithm(_run_uniform, lambda params, game: 0.5),
+    "one-step": Algorithm(_run_query("one_step"), lambda params, game: 0.272),
+    "two-step": Algorithm(_run_query("two_step"), lambda params, game: 0.25),
+    "plane": Algorithm(_run_banded("plane_dynamics"),
+                       lambda params, game: 1.0 / 8.0 + params["alpha"],
+                       reads=("alpha", "eta")),
+    "plane-comm": Algorithm(_run_banded("communication_dynamics"),
+                            lambda params, game: 137.0 / 1100.0 + params["alpha"],
+                            reads=("alpha", "eta")),
+    "curve": Algorithm(_run_banded("curve_dynamics"),
+                       lambda params, game: binary.curve_regret_bound(params["c"],
+                                                                      params["alpha"]),
+                       reads=("alpha", "eta", "c")),
+    "block-update": Algorithm(
+        _run_query("block_update", blocks),
+        lambda params, game: blocks.block_update_bound(game.c, game.k, params["blocks"]),
+        reads=("blocks",), binary_only=False),
+    "plane-flow": Algorithm(_run_flow("simulate_plane_flow"),
+                            reads=("step_h", "horizon"), exact_only=True),
+    "curve-flow": Algorithm(_run_flow("simulate_curve_flow"),
+                            reads=("c", "step_h", "horizon"), exact_only=True),
+}
 
 
 @dataclass
@@ -35,14 +122,14 @@ class ExperimentConfig:
     trace: str | None = None
 
     def __post_init__(self):
-        if self.algo not in ALGORITHMS:
+        if self.algo not in ALGOS:
             raise ValueError(f"unknown algorithm {self.algo!r}")
         if self.family.get("family") not in families.FAMILIES:
             raise ValueError(f"unknown family {self.family.get('family')!r}")
         if self.oracle not in ("exact", "sampling"):
             raise ValueError("oracle must be 'exact' or 'sampling'")
-        if self.algo.endswith("-flow") and self.oracle != "exact":
-            raise ValueError("continuous flows integrate exact expectations only")
+        if ALGOS[self.algo].exact_only and self.oracle != "exact":
+            raise ValueError(f"{self.algo} runs with the exact oracle only")
         if self.trace and len(self.seeds) > 1 and "{seed}" not in self.trace:
             raise ValueError("trace path needs a {seed} placeholder with multiple seeds")
 
@@ -71,21 +158,8 @@ def max_workers() -> int:
 
 def theoretical_bound(algo: str, params: dict, game) -> float | None:
     """The worst-case regret the exact-oracle run promises to respect."""
-    if algo == "uniform":
-        return 0.5
-    if algo == "one-step":
-        return 0.272
-    if algo == "two-step":
-        return 0.25
-    if algo == "plane":
-        return 1.0 / 8.0 + params["alpha"]
-    if algo == "plane-comm":
-        return 137.0 / 1100.0 + params["alpha"]
-    if algo == "curve":
-        return binary.curve_regret_bound(params.get("c") or game.c, params["alpha"])
-    if algo == "block-update":
-        return blocks.block_update_bound(game.c, game.k, params["blocks"])
-    return None
+    bound = ALGOS[algo].bound
+    return None if bound is None else bound(params, game)
 
 
 def run_one(config: ExperimentConfig, seed: int):
@@ -95,72 +169,16 @@ def run_one(config: ExperimentConfig, seed: int):
     """
     game = families.make_game(config.family["family"],
                               config.family.get("params", {}), seed)
-    trace = None
-    if config.trace:
-        trace = config.trace.replace("{seed}", str(seed))
+    trace = config.trace.replace("{seed}", str(seed)) if config.trace else None
     session = OracleSession(game, seed=seed, trace_path=trace)
-    params = dict(config.algo_params)
-    mode = config.oracle
-    trajectory = None
+    entry = ALGOS[config.algo]
+    params = entry.read(config.algo_params, game)
     try:
-        if config.algo == "uniform":
-            profile = MixedProfile.uniform(game.n, game.k)
-            report = build_report("uniform", {}, session, profile, rounds=0)
-        elif config.algo == "one-step":
-            kwargs = {"mode": mode}
-            if config.beta is not None:
-                kwargs |= {"beta": config.beta}
-            if config.delta is not None:
-                kwargs |= {"delta": config.delta}
-            profile, report = binary.one_step(session, **kwargs)
-        elif config.algo == "two-step":
-            kwargs = {"mode": mode}
-            if config.beta is not None:
-                kwargs |= {"beta": config.beta}
-            if config.delta is not None:
-                kwargs |= {"delta": config.delta}
-            profile, report = binary.two_step(session, **kwargs)
-        elif config.algo in ("plane", "plane-comm"):
-            dparams = binary.DynamicsParams(alpha=float(params.get("alpha", 0.05)),
-                                            eta=float(params.get("eta", 0.1)))
-            fn = binary.plane_dynamics if config.algo == "plane" else binary.communication_dynamics
-            profile, report = fn(session, dparams, mode=mode, sample_beta=config.beta)
-        elif config.algo == "curve":
-            dparams = binary.DynamicsParams(alpha=float(params.get("alpha", 0.05)),
-                                            eta=float(params.get("eta", 0.1)))
-            c = params.get("c")
-            profile, report = binary.curve_dynamics(session, dparams,
-                                                    c=None if c is None else float(c),
-                                                    mode=mode, sample_beta=config.beta)
-        elif config.algo == "block-update":
-            profile, report, _ = blocks.block_update(
-                session, int(params.get("blocks", 100)), mode=mode,
-                beta=config.beta if config.beta is not None else 0.1,
-                delta=config.delta if config.delta is not None else 0.05)
-        elif config.algo in ("plane-flow", "curve-flow"):
-            step_h = float(params.get("step_h", 1e-3))
-            horizon = float(params.get("horizon", 1.0))
-            if config.algo == "plane-flow":
-                trajectory = continuous.simulate_plane_flow(game, step_h, horizon)
-            else:
-                trajectory = continuous.simulate_curve_flow(
-                    game, float(params.get("c", game.c)), step_h, horizon)
-            profile = MixedProfile.from_binary(trajectory.p[-1])
-            report = build_report(config.algo,
-                                  {"step_h": step_h, "horizon": horizon},
-                                  session, profile, rounds=trajectory.times.shape[0] - 1)
-        else:  # pragma: no cover
-            raise ValueError(config.algo)
+        profile, report, trajectory = entry.run(session, config, params)
     finally:
         session.close()
 
-    bound = None
-    if config.oracle == "exact" and config.algo in (
-            "uniform", "one-step", "two-step", "plane", "plane-comm", "curve",
-            "block-update"):
-        merged = {"alpha": float(params.get("alpha", 0.05)),
-                  "c": params.get("c"), "blocks": int(params.get("blocks", 100))}
-        bound = theoretical_bound(config.algo, merged, game)
+    bound = theoretical_bound(config.algo, params, game) if config.oracle == "exact" else None
     if bound is not None:
         report.extra["declared_bound"] = bound
         report.extra["bound_ok"] = bool(report.max_regret is not None
@@ -191,62 +209,51 @@ SWEEP_COLUMNS = ["algorithm", "family", "n", "c", "k", "alpha", "eta", "beta",
 
 
 def sweep_rows(algos, family: str, ns, cs, ks, alphas, blocks_grid, seeds,
-               oracle: str = "exact", eta: float = 0.1,
+               oracle: str = "exact", eta: float = PARAMS["eta"][1],
                beta: float | None = None, delta: float | None = None,
                timing: bool = False) -> list[dict]:
     """Cross product of the parameter grids, one row per run.
 
-    The alpha grid only multiplies runs of the banded dynamics and the
-    blocks grid only multiplies block-update runs; other algorithms run
-    once per (n, c, k, seed) cell.
+    The alpha grid only multiplies runs of algorithms that read alpha (the
+    banded dynamics) and the blocks grid only those that read blocks
+    (block-update); other algorithms run once per (n, c, k, seed) cell.
     """
-    alphas = list(alphas) or [0.05]
-    blocks_grid = list(blocks_grid) or [100]
-    banded = ("plane", "plane-comm", "curve")
+    alphas = list(alphas) or [PARAMS["alpha"][1]]
+    blocks_grid = list(blocks_grid) or [PARAMS["blocks"][1]]
     rows = []
     for algo in algos:
-        alpha_grid = alphas if algo in banded else alphas[:1]
-        block_grid = blocks_grid if algo == "block-update" else blocks_grid[:1]
-        for n in ns:
-            for c in cs:
-                for k in ks:
-                    if algo in BINARY_ALGOS and k != 2:
-                        continue
-                    for alpha in alpha_grid:
-                        for blocks_n in block_grid:
-                            config = ExperimentConfig(
-                                family={"family": family,
-                                        "params": {"n": n, "k": k, "c": c}},
-                                algo=algo,
-                                algo_params={"alpha": alpha, "eta": eta,
-                                             "blocks": blocks_n},
-                                oracle=oracle, beta=beta, delta=delta,
-                                seeds=list(seeds))
+        if algo not in ALGOS:
+            raise ValueError(f"unknown algorithm {algo!r}")
+        entry = ALGOS[algo]
+        by_alpha, by_blocks = "alpha" in entry.reads, "blocks" in entry.reads
+        for n, c, k, alpha, blocks_n in itertools.product(
+                ns, cs, ks, alphas if by_alpha else alphas[:1],
+                blocks_grid if by_blocks else blocks_grid[:1]):
+            if entry.binary_only and k != 2:
+                continue
+            config = ExperimentConfig(
+                family={"family": family, "params": {"n": n, "k": k, "c": c}},
+                algo=algo, algo_params={"alpha": alpha, "eta": eta, "blocks": blocks_n},
+                oracle=oracle, beta=beta, delta=delta, seeds=list(seeds))
 
-                            def timed(seed, config=config):
-                                start = time.perf_counter()
-                                report, _, _ = run_one(config, seed)
-                                return report, (time.perf_counter() - start) * 1e3
+            def timed(seed, config=config):
+                start = time.perf_counter()
+                report, _, _ = run_one(config, seed)
+                return report, (time.perf_counter() - start) * 1e3
 
-                            for seed, (report, wall_ms) in zip(
-                                    config.seeds,
-                                    parallel_over_seeds(timed, config.seeds)):
-                                row = {
-                                    "algorithm": algo, "family": family, "n": n,
-                                    "c": c, "k": k,
-                                    "alpha": alpha if algo in banded else "",
-                                    "eta": eta if algo in banded else "",
-                                    "beta": "" if beta is None else beta,
-                                    "delta": "" if delta is None else delta,
-                                    "blocks": blocks_n if algo == "block-update" else "",
-                                    "seed": seed,
-                                    "max_regret": report.max_regret,
-                                    "pure_queries": report.pure_queries,
-                                    "qm_calls": report.qm_calls,
-                                }
-                                if timing:
-                                    row["wall_ms"] = round(wall_ms, 3)
-                                rows.append(row)
+            for seed, (report, wall_ms) in zip(config.seeds,
+                                               parallel_over_seeds(timed, config.seeds)):
+                row = {"algorithm": algo, "family": family, "n": n, "c": c, "k": k,
+                       "alpha": alpha if by_alpha else "", "eta": eta if by_alpha else "",
+                       "beta": "" if beta is None else beta,
+                       "delta": "" if delta is None else delta,
+                       "blocks": blocks_n if by_blocks else "", "seed": seed,
+                       "max_regret": report.max_regret,
+                       "pure_queries": report.pure_queries, "qm_calls": report.qm_calls}
+                if timing:
+                    row["wall_ms"] = round(wall_ms, 3)
+                rows.append(row)
+
     def key(r):
         return (r["algorithm"], r["n"], r["c"], r["k"],
                 str(r["alpha"]), str(r["blocks"]), r["seed"])

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +66,21 @@ def test_run_flow_writes_trajectory(tmp_path):
     lines = (out / "trajectory_seed0.csv").read_text().splitlines()
     assert lines[0] == "t,player,v1,v0,p,d"
     assert len(lines) == 1 + 21 * 6
+
+
+def test_algo_c_reaches_curve_flow(capsys):
+    def digest(*extra):
+        assert main(["run", "--algo", "curve-flow", "--n", "6", "--seeds", "0:1",
+                     "--step-h", "0.01", *extra]) == 0
+        return json.loads(capsys.readouterr().out)["final_profile_digest"]
+
+    assert digest("--algo-c", "4.0") != digest()
+
+
+def test_readme_lists_the_algorithm_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    line = readme.split("Algorithms:", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`([^`]+)`", line) == list(runner.ALGOS)
 
 
 def test_trace_template_required_for_many_seeds():

@@ -94,3 +94,13 @@ def test_flow_requires_binary_game():
     g = lg.gen_tiny_tensor(3, 3, 0.5, seed=1)
     with pytest.raises(ValueError):
         lg.simulate_plane_flow(g, H, 0.1)
+
+
+def test_plane_flow_steps_toward_the_plane_after_slipping_above_it():
+    # on this game a player slips above the plane after entering the band;
+    # stepping toward the best response instead of the plane ran it away
+    # to |residual| 0.499
+    g = lg.gen_linear_influence(20, 2, 1.0, seed=1911581043)
+    tr = lg.simulate_plane_flow(g, H, 1.0)
+    assert np.all(tr.first_inside() <= 0.5 + 2 * H + 1e-12)
+    assert tr.stays_inside(0.5 + 2 * H)
