@@ -31,6 +31,16 @@ class LinearInfluenceGame(Game):
     u_i by at most mu / (n - 1) <= c / n.  Expected payoffs are linear in
     each opponent's distribution, giving an exact mixed table in
     O(n^2 k^2).
+
+    The game holds one read-only weight array in opponent-action-major
+    order, ``_w[b, l, i, j] = w[i, l, j, b]`` (shape (k, n, n, k)): player
+    i's weight for own action j against opponent l playing b.  ``weights``
+    is the (i, l, j, b) view of it.  The exact table sums the per-opponent
+    action terms ``_w[b] * p_l(b)`` over b (even b, then odd b, then the
+    two partial sums) and then over opponents l in index order.  That is
+    the order of ``np.einsum("iljb,lb->ij", weights, probs)``, so the table
+    equals it bit for bit for k <= 7 (checked with numpy 2.4); for larger
+    k einsum groups the terms differently and the two agree to rounding.
     """
 
     def __init__(self, base: np.ndarray, weights: np.ndarray, c: float):
@@ -39,21 +49,21 @@ class LinearInfluenceGame(Game):
         n, k = base.shape
         if weights.shape != (n, n, k, k):
             raise ValueError("weights must have shape (n, n, k, k)")
-        weights = weights.copy()
-        weights[np.arange(n), np.arange(n)] = 0.0  # no self influence
+        w = np.array(weights.transpose(3, 1, 0, 2), order="C")
+        w[:, np.arange(n), np.arange(n)] = 0.0  # no self influence
+        w.setflags(write=False)
         self.base = _readonly(base)
-        self.weights = _readonly(weights)
+        self._w = w
         self.n, self.k = n, k
         self.c = float(c)
         self.mu = min(1.0, c * (n - 1) / n)
-        # batch-path precomputation: action-0 row sums plus per-action deltas,
-        # flattened so the batch evaluation is one GEMM per opponent action
-        self._batch_zero = _readonly(weights[:, :, :, 0].sum(axis=1))
-        delta = (weights - weights[:, :, :, :1]).transpose(1, 0, 2, 3)
-        self._delta_flat = [np.ascontiguousarray(delta[:, :, :, b].reshape(n, n * k))
-                            for b in range(k)]
-        if k == 2:
-            self._d_col = [np.ascontiguousarray(delta[:, :, j, 1]) for j in range(2)]
+        # action-0 row sums: the batch path adds per-action differences to them
+        self._batch_zero = _readonly(w[0].sum(axis=0))
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Read-only (i, l, j, b) view: player i, opponent l, own j, theirs b."""
+        return self._w.transpose(2, 1, 3, 0)
 
     def payoffs(self, actions) -> np.ndarray:
         a = as_pure_profile(actions, self.n, self.k)
@@ -65,12 +75,14 @@ class LinearInfluenceGame(Game):
     def payoffs_batch(self, actions: np.ndarray) -> np.ndarray:
         n, k = self.n, self.k
         scale = self.mu / (n - 1)
+        w = self._w
         if k == 2:
             x = actions.astype(np.float64)
-            # g_j[s, i] = sum_l w[i, l, j, a_sl]
-            g0 = x @ self._d_col[0]
+            # g_j[s, i] = sum_l w[i, l, j, a_sl]; d[j, l, i] = w[i, l, j, 1] - w[i, l, j, 0]
+            d = np.ascontiguousarray((w[1] - w[0]).transpose(2, 0, 1))
+            g0 = x @ d[0]
             g0 += self._batch_zero[:, 0]
-            g1 = x @ self._d_col[1]
+            g1 = x @ d[1]
             g1 += self._batch_zero[:, 1]
             own = g0
             own += x * (g1 - g0)
@@ -83,7 +95,8 @@ class LinearInfluenceGame(Game):
         # received[s, i, j] = sum_l w[i, l, j, a_sl], one GEMM per action
         flat = None
         for b in range(1, k):
-            contrib = (actions == b).astype(np.float64) @ self._delta_flat[b]
+            delta = (w[b] - w[0]).reshape(n, n * k)
+            contrib = (actions == b).astype(np.float64) @ delta
             flat = contrib if flat is None else flat + contrib
         received = flat.reshape(s, n, k)
         received += self._batch_zero
@@ -100,7 +113,10 @@ class LinearInfluenceGame(Game):
         return True
 
     def mixed_payoff_table(self, profile: MixedProfile) -> np.ndarray:
-        mixed = np.einsum("iljb,lb->ij", self.weights, profile.probs)
+        w, probs = self._w, profile.probs
+        terms = [w[b] * probs[:, b][:, None, None] for b in range(self.k)]
+        # einsum's order: even actions, odd actions, the two sums, then opponents
+        mixed = (sum(terms[2::2], terms[0]) + sum(terms[3::2], terms[1])).sum(axis=0)
         return (1.0 - self.mu) * self.base + self.mu / (self.n - 1) * mixed
 
 

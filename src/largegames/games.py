@@ -52,6 +52,8 @@ class MixedProfile:
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 2:
             raise ValueError("mixed profile must be an (n, k) matrix")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("probabilities must be finite")
         if np.any(arr < -PROB_TOL):
             raise ValueError("probabilities must be nonnegative")
         sums = arr.sum(axis=1)

@@ -132,7 +132,10 @@ class OracleSession:
         """One pure-profile query; stochastic games return a fresh draw."""
         if self.uncoupled and player is None:
             raise ValueError("uncoupled sessions reveal payoffs per calling player")
-        payoffs = self._pure_batch(np.asarray(actions, dtype=np.int64)[None, :])[0]
+        a = np.asarray(actions)
+        if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.round(a))):
+            raise ValueError("actions must be integers")
+        payoffs = self._pure_batch(a.astype(np.int64)[None, :])[0]
         if player is not None:
             return float(payoffs[player])
         return payoffs

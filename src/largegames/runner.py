@@ -70,9 +70,8 @@ def _run_flow(name):
     def run(session, config, params):
         trajectory = getattr(continuous, name)(session.game, **params)
         profile = MixedProfile.from_binary(trajectory.p[-1])
-        report = build_report(config.algo,
-                              {key: params[key] for key in ("step_h", "horizon")},
-                              session, profile, rounds=trajectory.times.shape[0] - 1)
+        report = build_report(config.algo, dict(params), session, profile,
+                              rounds=trajectory.times.shape[0] - 1)
         return profile, report, trajectory
     return run
 
@@ -152,7 +151,11 @@ def max_workers() -> int:
     cap = os.environ.get("LGL_THREADS")
     workers = os.cpu_count() or 1
     if cap:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            limit = int(cap)
+        except ValueError:
+            raise ValueError(f"LGL_THREADS must be an integer, got {cap!r}") from None
+        workers = min(workers, max(1, limit))
     return workers
 
 

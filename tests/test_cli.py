@@ -77,6 +77,19 @@ def test_algo_c_reaches_curve_flow(capsys):
     assert digest("--algo-c", "4.0") != digest()
 
 
+@pytest.mark.parametrize("algo,params,expected", [
+    ("curve-flow", {"c": 4.0}, {"c": 4.0, "step_h": 0.01, "horizon": 0.2}),
+    ("curve-flow", {}, {"c": 1.0, "step_h": 0.01, "horizon": 0.2}),
+    ("plane-flow", {"c": 4.0}, {"step_h": 0.01, "horizon": 0.2}),
+])
+def test_flow_report_records_every_param_read(algo, params, expected):
+    config = runner.ExperimentConfig(
+        family={"family": "linear-influence", "params": {"n": 6, "k": 2, "c": 1.0}},
+        algo=algo, algo_params={**params, "step_h": 0.01, "horizon": 0.2}, seeds=[0])
+    report, _, _ = runner.run_one(config, 0)
+    assert report.params == expected
+
+
 def test_readme_lists_the_algorithm_table():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     line = readme.split("Algorithms:", 1)[1].split(".", 1)[0]
@@ -185,6 +198,14 @@ def test_parallel_seeds_match_sequential(monkeypatch):
     monkeypatch.setenv("LGL_THREADS", "4")
     parallel = [r.to_json() for r in runner.run_many(config)]
     assert sequential == parallel
+
+
+def test_thread_cap_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("LGL_THREADS", "abc")
+    with pytest.raises(ValueError, match="LGL_THREADS must be an integer, got 'abc'"):
+        runner.max_workers()
+    monkeypatch.setenv("LGL_THREADS", "1")
+    assert runner.max_workers() == 1
 
 
 def test_verify_pass_and_fail(tmp_path):

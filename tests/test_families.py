@@ -63,6 +63,66 @@ def test_linear_influence_monte_carlo_agreement():
             assert abs(table[i, j] - mc) <= 3e-3
 
 
+def _profiles(n, k, rng):
+    random = rng.random((n, k))
+    yield np.full((n, k), 1.0 / k)
+    yield np.eye(k)[rng.integers(0, k, size=n)]
+    yield random / random.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_linear_influence_table_is_the_einsum_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    for n in (2, 7, 20, 50):
+        g = lg.gen_linear_influence(n, k, 1.0, seed=n)
+        # einsum's summation order depends on strides: use the (i, l, j, b) layout
+        weights = np.ascontiguousarray(g.weights)
+        for probs in _profiles(n, k, rng):
+            reference = np.einsum("iljb,lb->ij", weights, probs)
+            expected = (1.0 - g.mu) * g.base + g.mu / (n - 1) * reference
+            assert np.array_equal(g.mixed_payoff_table(lg.MixedProfile(probs)), expected)
+
+
+@pytest.mark.parametrize("n,k", [(2, 6), (3, 4), (5, 3), (6, 2)])
+def test_linear_influence_table_matches_enumeration_small_n(n, k):
+    rng = np.random.default_rng(10 * n + k)
+    g = lg.gen_linear_influence(n, k, 1.0, seed=k)
+    for probs in _profiles(n, k, rng):
+        table = g.mixed_payoff_table(lg.MixedProfile(probs))
+        slow = np.array([[_enumerated_cell(g, probs, i, j) for j in range(k)]
+                         for i in range(n)])
+        assert np.allclose(table, slow, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_linear_influence_batch_matches_stacked_payoffs(k):
+    rng = np.random.default_rng(k)
+    g = lg.gen_linear_influence(9, k, 0.7, seed=k)
+    actions = rng.integers(0, k, size=(64, 9)).astype(np.int8)
+    stacked = np.stack([g.payoffs(a) for a in actions])
+    assert np.allclose(g.payoffs_batch(actions), stacked, rtol=0.0, atol=1e-12)
+
+
+def test_linear_influence_weights_read_only_without_self_influence():
+    rng = np.random.default_rng(4)
+    raw = rng.random((5, 5, 3, 3))
+    g = lg.LinearInfluenceGame(rng.random((5, 3)), raw, c=1.0)
+    assert g.weights.shape == (5, 5, 3, 3)
+    assert not g.weights.flags.writeable
+    with pytest.raises(ValueError):
+        g.weights[0, 1, 0, 0] = 1.0
+    assert np.all(g.weights[np.arange(5), np.arange(5)] == 0.0)
+    off = ~np.eye(5, dtype=bool)
+    assert np.array_equal(g.weights[off], raw[off])
+    assert np.all(raw[np.arange(5), np.arange(5)] > 0.0)  # the input is not modified
+
+
+def test_linear_influence_kernels_are_patchable_class_attributes():
+    # the benchmark tracer wraps these through vars(LinearInfluenceGame)
+    assert "mixed_payoff_table" in vars(lg.LinearInfluenceGame)
+    assert "payoffs_batch" in vars(lg.LinearInfluenceGame)
+
+
 def test_generators_are_pure_functions_of_seed():
     a = lg.gen_linear_influence(6, 3, 0.8, seed=123)
     b = lg.gen_linear_influence(6, 3, 0.8, seed=123)

@@ -294,6 +294,17 @@ def test_mixed_profile_validation():
     assert np.allclose(p.binary(), [0.25, 1.0])
 
 
+def test_mixed_profile_rejects_non_finite():
+    nan, inf = float("nan"), float("inf")
+    for probs in ([[nan, nan], [0.5, 0.5]], [[inf, 0.0]], [[0.5, nan]]):
+        with pytest.raises(ValueError, match="finite"):
+            lg.MixedProfile(np.array(probs))
+    with pytest.raises(ValueError, match="finite"):
+        lg.MixedProfile.from_binary([nan, 0.5])
+    with pytest.raises(ValueError):
+        lg.MixedProfile.from_binary([inf])
+
+
 def test_tensor_game_json_roundtrip():
     g = lg.gen_tiny_tensor(3, 2, 0.4, seed=9)
     back = lg.TensorGame.from_json(g.to_json())

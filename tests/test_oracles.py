@@ -29,6 +29,16 @@ def test_query_pure_dimension_mismatch():
         sess.query_pure([0, 1])
 
 
+def test_query_pure_rejects_non_integer_actions():
+    sess = lg.OracleSession(small_game(n=4), seed=0)
+    for actions in ([1.7, 0, 0, 1], [0.0, float("nan"), 0.0, 1.0], [float("inf"), 0, 0, 0]):
+        with pytest.raises(ValueError, match="integers"):
+            sess.query_pure(actions)
+    assert sess.pure_queries == 0
+    assert np.array_equal(sess.query_pure([1.0, 0.0, 0.0, 1.0]),
+                          sess.query_pure([1, 0, 0, 1]))
+
+
 def test_stochastic_query_mean_converges():
     game = lg.gen_lower_bound(6, 4.0, seed_for_b=2)
     sess = lg.OracleSession(game, seed=5)
