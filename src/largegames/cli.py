@@ -1,10 +1,13 @@
 """Batch experiment harness.
 
 Subcommands: generate (write a game descriptor), run (one algorithm over
-seeds, reports as JSON, nonzero exit on a violated exact-mode bound),
-sweep (parameter grids to CSV), verify (grade a profile on a game).
-Outputs are byte-deterministic for fixed arguments and seeds; the env
-var LGL_THREADS caps seed-level parallelism.
+seeds, reports as JSON), sweep (parameter grids to CSV), verify (grade a
+profile on a game).  Outputs are byte-deterministic for fixed arguments
+and seeds; the env var LGL_THREADS caps seed-level parallelism.
+
+Exit codes: 0 success; 1 a graded failure (``verify`` found regret above
+eps); 2 a usage or input error, reported as one line ``error: <message>``
+on stderr; 3 a run that violated its declared bound.
 """
 
 from __future__ import annotations
@@ -26,7 +29,10 @@ def _parse_seeds(text: str) -> list[int]:
         return []
     if ":" in text:
         lo, hi = text.split(":")
-        return list(range(int(lo), int(hi)))
+        seeds = list(range(int(lo), int(hi)))
+        if not seeds:
+            raise ValueError(f"seed range {text!r} is empty")
+        return seeds
     return [int(s) for s in text.split(",") if s]
 
 
@@ -53,8 +59,7 @@ def cmd_generate(args) -> int:
     game = families.game_from_descriptor(desc)  # validate before writing
     if args.materialize:
         if not hasattr(game, "to_json"):
-            print("only explicit tensor games can be materialized", file=sys.stderr)
-            return 2
+            raise ValueError("only explicit tensor games can be materialized")
         text = game.to_json()
     else:
         text = families.descriptor_to_json(desc)
@@ -99,7 +104,7 @@ def cmd_run(args) -> int:
                 trajectory.write_csv(os.path.join(out_dir, f"trajectory_seed{seed}.csv"),
                                      downsample=args.downsample)
         print(line)
-    return 0 if all_ok else 2
+    return 0 if all_ok else 3
 
 
 def cmd_sweep(args) -> int:
@@ -236,7 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

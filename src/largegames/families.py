@@ -91,22 +91,27 @@ class LinearInfluenceGame(Game):
             out *= 1.0 - self.mu
             out += scale * own
             return out
+        # received[s, i, j] = sum_l w[i, l, j, a_sl] - w[i, l, j, 0] sums one (s, n k)
+        # GEMM per action b > 0.  Only the entries (s, i, a_si) are read, at flat
+        # indices idx; adding them in b order equals summing the whole products first.
+        # One product is alive at a time: with two, malloc returns their pages to the
+        # system after every call and page-faults them in again on the next.
         s = actions.shape[0]
-        # received[s, i, j] = sum_l w[i, l, j, a_sl], one GEMM per action
-        flat = None
+        idx = np.arange(0, s * n * k, k).reshape(s, n)
+        idx += actions
+        x = np.empty(actions.shape)
         for b in range(1, k):
-            delta = (w[b] - w[0]).reshape(n, n * k)
-            contrib = (actions == b).astype(np.float64) @ delta
-            flat = contrib if flat is None else flat + contrib
-        received = flat.reshape(s, n, k)
-        received += self._batch_zero
-        own = np.zeros(actions.shape, dtype=float)
-        base_own = np.zeros(actions.shape, dtype=float)
-        for j in range(k):
-            mask = actions == j
-            own += received[:, :, j] * mask
-            base_own += self.base[None, :, j] * mask
-        return (1.0 - self.mu) * base_own + scale * own
+            np.equal(actions, b, out=x)
+            if b == 1:
+                own = (x @ (w[1] - w[0]).reshape(n, n * k)).take(idx)
+            else:
+                own += (x @ (w[b] - w[0]).reshape(n, n * k)).take(idx, out=x)
+        cell = actions + np.arange(0, n * k, k)  # (i, a_si) in the (n, k) arrays
+        own += self._batch_zero.ravel()[cell]
+        out = self.base.ravel()[cell]
+        out *= 1.0 - self.mu
+        out += scale * own
+        return out
 
     @property
     def has_fast_expectation(self) -> bool:

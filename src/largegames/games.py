@@ -154,6 +154,8 @@ class TensorGame(Game):
         n = tensor.shape[0]
         if tensor.ndim != n + 1 or any(s != tensor.shape[1] for s in tensor.shape[1:]):
             raise ValueError("tensor must have shape (n,) + (k,) * n")
+        if not np.all(np.isfinite(tensor)):
+            raise ValueError("payoffs must be finite")
         if tensor.size and (tensor.min() < -PROB_TOL or tensor.max() > 1 + PROB_TOL):
             raise ValueError("payoffs must lie in [0, 1]")
         self.tensor = _readonly(tensor)
@@ -208,6 +210,8 @@ class IndependentGame(Game):
         values = np.asarray(values, dtype=float)
         if values.ndim != 2:
             raise ValueError("values must be an (n, k) matrix")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("payoffs must be finite")
         if values.min() < 0 or values.max() > 1:
             raise ValueError("payoffs must lie in [0, 1]")
         self.values = _readonly(values)

@@ -182,8 +182,12 @@ class OracleSession:
         cdf = np.cumsum(p_prime, axis=1)
 
         def draw(m):
+            # action = how many of the first k - 1 cdf entries the uniform draw exceeds
             draws = self.rng.random((m, self.game.n))
-            return (draws[:, :, None] > cdf[None, :, :-1]).sum(axis=2).astype(np.int8)
+            actions = np.zeros(draws.shape, dtype=np.int8)
+            for j in range(self.game.k - 1):
+                actions += draws > cdf[:, j]
+            return actions
 
         return self._estimate_from_queries(n_queries, draw, p_prime, beta, delta)
 
@@ -203,10 +207,10 @@ class OracleSession:
                 sums[:, 1] += paid_ones
                 sums[:, 0] += payoffs.sum(axis=0) - paid_ones
             else:
-                for j in range(k):
-                    mask = actions == j
-                    counts[:, j] += mask.sum(axis=0)
-                    sums[:, j] += (payoffs * mask).sum(axis=0)
+                # flat index of cell (i, a_si); bincount adds each cell's payoffs in row order
+                cell = (actions + np.arange(0, n * k, k)).ravel()
+                counts += np.bincount(cell, minlength=n * k).reshape(n, k)
+                sums += np.bincount(cell, weights=payoffs.ravel(), minlength=n * k).reshape(n, k)
             done += actions.shape[0]
         values = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0)
         return MixedEstimate(values=values, samples=n_queries, beta=beta,

@@ -108,7 +108,7 @@ def test_run_nonzero_exit_on_bound_violation(tmp_path, monkeypatch):
     code = main(["run", "--algo", "uniform", "--family", "linear-influence",
                  "--n", "5", "--c", "1.0", "--seeds", "0:1",
                  "--out", str(tmp_path / "r")])
-    assert code == 2
+    assert code == 3
 
 
 def test_run_from_config_file(tmp_path):
@@ -206,6 +206,33 @@ def test_thread_cap_must_be_an_integer(monkeypatch):
         runner.max_workers()
     monkeypatch.setenv("LGL_THREADS", "1")
     assert runner.max_workers() == 1
+
+
+@pytest.mark.parametrize("argv,threads,message", [
+    (["run", "--algo", "plane", "--n", "6", "--seeds", "0:2"], "abc",
+     "LGL_THREADS must be an integer, got 'abc'"),
+    (["run", "--algo", "plane", "--n", "6", "--seeds", "3:1"], None,
+     "seed range '3:1' is empty"),
+    (["sweep", "--algo", "plane", "--n", "6", "--seeds", "2:2"], None,
+     "seed range '2:2' is empty"),
+])
+def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, argv, threads, message):
+    if threads is not None:
+        monkeypatch.setenv("LGL_THREADS", threads)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_verify_mismatched_profile_is_an_input_error(tmp_path, capsys):
+    game_path = tmp_path / "game.json"
+    main(["generate", "--n", "4", "--seed", "1", "--out", str(game_path)])
+    profile_path = tmp_path / "profile.json"
+    profile_path.write_text(json.dumps({"binary": [0.5] * 3}))
+    assert main(["verify", "--game", str(game_path), "--profile", str(profile_path),
+                 "--eps", "0.1"]) == 2
+    assert capsys.readouterr().err == "error: profile shape does not match game\n"
 
 
 def test_verify_pass_and_fail(tmp_path):

@@ -305,6 +305,18 @@ def test_mixed_profile_rejects_non_finite():
         lg.MixedProfile.from_binary([inf])
 
 
+@pytest.mark.parametrize("make", [
+    lambda payoffs: lg.IndependentGame(payoffs, c=1.0),
+    lambda payoffs: lg.TensorGame(np.stack([np.tile(row, (2, 1)) for row in payoffs]), c=1.0),
+], ids=["independent", "tensor"])
+def test_games_reject_non_finite_payoffs(make):
+    nan, inf = float("nan"), float("inf")
+    make(np.array([[0.1, 0.5], [0.2, 0.3]]))
+    for payoffs in ([[nan, 0.5], [0.2, 0.3]], [[0.1, 0.5], [inf, 0.3]], [[0.1, -inf], [0.2, 0.3]]):
+        with pytest.raises(ValueError, match="payoffs must be finite"):
+            make(np.array(payoffs))
+
+
 def test_tensor_game_json_roundtrip():
     g = lg.gen_tiny_tensor(3, 2, 0.4, seed=9)
     back = lg.TensorGame.from_json(g.to_json())

@@ -1,0 +1,137 @@
+"""The k-action sampling chunk against the mask-loop code it replaced.
+
+Each reference below is the former implementation of one stage of a
+k > 2 sampling chunk: the draw built a (rows, n, k - 1) comparison array,
+``payoffs_batch`` and the reduction made one mask pass per action.  The
+fast code must agree with them bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+import largegames as lg
+from largegames import oracles
+
+KS = (3, 4, 5, 6, 7)
+NS = (2, 7, 20, 100)
+CHUNKS = (1, 17, 4096)
+
+
+def mask_draw(u, cdf):
+    return (u[:, :, None] > cdf[None, :, :-1]).sum(axis=2).astype(np.int8)
+
+
+def mask_payoffs(game, actions):
+    n, k, w = game.n, game.k, game._w
+    s = actions.shape[0]
+    flat = None
+    for b in range(1, k):
+        delta = (w[b] - w[0]).reshape(n, n * k)
+        contrib = (actions == b).astype(np.float64) @ delta
+        flat = contrib if flat is None else flat + contrib
+    received = flat.reshape(s, n, k)
+    received += game._batch_zero
+    own = np.zeros(actions.shape, dtype=float)
+    base_own = np.zeros(actions.shape, dtype=float)
+    for j in range(k):
+        mask = actions == j
+        own += received[:, :, j] * mask
+        base_own += game.base[None, :, j] * mask
+    return (1.0 - game.mu) * base_own + game.mu / (n - 1) * own
+
+
+def mask_reduce(actions, payoffs, k, counts, sums):
+    for j in range(k):
+        mask = actions == j
+        counts[:, j] += mask.sum(axis=0)
+        sums[:, j] += (payoffs * mask).sum(axis=0)
+
+
+def random_profile(n, k, seed):
+    probs = np.random.default_rng(seed).random((n, k))
+    return lg.MixedProfile(probs / probs.sum(axis=1, keepdims=True))
+
+
+def reference_estimate(game, profile, beta, seed, rows, chunk):
+    """The mask-loop pipeline on the session's random stream, chunk by chunk."""
+    rng = np.random.default_rng(seed)
+    p_prime = oracles.blend_kaction(profile.probs, beta)
+    cdf = np.cumsum(p_prime, axis=1)
+    counts = np.zeros((game.n, game.k))
+    sums = np.zeros((game.n, game.k))
+    chunks = []
+    done = 0
+    while done < rows:
+        actions = mask_draw(rng.random((min(chunk, rows - done), game.n)), cdf)
+        payoffs = mask_payoffs(game, actions)
+        mask_reduce(actions, payoffs, game.k, counts, sums)
+        chunks.append((actions, payoffs))
+        done += actions.shape[0]
+    values = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0)
+    return chunks, counts, values
+
+
+def recorded_estimate(game, profile, beta, seed, chunk):
+    """Run ``sample_mixed_kaction`` and keep every chunk's actions and payoffs."""
+    session = lg.OracleSession(game, seed=seed)
+    session._CHUNK = chunk
+    chunks = []
+    pure_batch = session._pure_batch
+
+    def record(actions):
+        payoffs = pure_batch(actions)
+        chunks.append((actions, payoffs))
+        return payoffs
+
+    session._pure_batch = record
+    return session.sample_mixed_kaction(profile, beta, 0.05), chunks
+
+
+def assert_same_chunks(got, want):
+    assert len(got) == len(want)
+    for (a, u), (ref_a, ref_u) in zip(got, want):
+        assert a.dtype == ref_a.dtype
+        assert np.array_equal(a, ref_a)
+        assert np.array_equal(u, ref_u)
+
+
+@pytest.mark.parametrize("dtype", (np.int8, np.int64))
+@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("k", KS)
+def test_payoffs_batch_matches_mask_reference(k, n, dtype):
+    # int8 rows come from the sampling draws, int64 rows from query_pure
+    game = lg.gen_linear_influence(n, k, 1.0, seed=10 * n + k)
+    actions = np.random.default_rng(n).integers(0, k, size=(33, n)).astype(dtype)
+    assert np.array_equal(game.payoffs_batch(actions), mask_payoffs(game, actions))
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("k", KS)
+def test_sampling_chunk_matches_mask_reference(monkeypatch, k, n, chunk):
+    # a chunk and a half plus one row, so the last chunk is partial
+    rows = chunk + chunk // 2 + 1
+    monkeypatch.setattr(oracles, "kaction_sample_count", lambda *args: rows)
+    game = lg.gen_linear_influence(n, k, 1.0, seed=10 * n + k)
+    profile = random_profile(n, k, seed=k)
+    est, chunks = recorded_estimate(game, profile, 0.3, 7, chunk)
+    ref_chunks, ref_counts, ref_values = reference_estimate(game, profile, 0.3, 7, rows, chunk)
+    assert_same_chunks(chunks, ref_chunks)
+    assert np.array_equal(est.counts, ref_counts)
+    assert np.array_equal(est.values, ref_values)
+    assert np.all(est.counts.sum(axis=1) == rows)
+
+
+def test_whole_estimate_with_partial_last_chunk_matches_mask_reference():
+    # the sampled-kaction benchmark setting: n=10, k=3, beta=0.3, delta=0.05
+    game = lg.gen_linear_influence(10, 3, 1.0, seed=4)
+    profile = random_profile(10, 3, seed=1)
+    est, chunks = recorded_estimate(game, profile, 0.3, 2, lg.OracleSession._CHUNK)
+    assert est.samples == oracles.kaction_sample_count(0.3, 0.05, 10, 3)
+    assert est.samples % lg.OracleSession._CHUNK != 0
+    ref_chunks, ref_counts, ref_values = reference_estimate(
+        game, profile, 0.3, 2, est.samples, lg.OracleSession._CHUNK)
+    assert_same_chunks(chunks, ref_chunks)
+    assert np.array_equal(est.counts, ref_counts)
+    assert np.array_equal(est.values, ref_values)
+    assert np.all(est.counts.sum(axis=1) == est.samples)
