@@ -6,8 +6,9 @@ profile on a game).  Outputs are byte-deterministic for fixed arguments
 and seeds; the env var LGL_THREADS caps seed-level parallelism.
 
 Exit codes: 0 success; 1 a graded failure (``verify`` found regret above
-eps); 2 a usage or input error, reported as one line ``error: <message>``
-on stderr; 3 a run that violated its declared bound.
+eps); 2 a usage or input error, such as a missing input file, reported as
+one line ``error: <message>`` on stderr; 3 a run that violated its
+declared bound.
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

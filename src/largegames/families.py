@@ -49,6 +49,11 @@ class LinearInfluenceGame(Game):
         n, k = base.shape
         if weights.shape != (n, n, k, k):
             raise ValueError("weights must have shape (n, n, k, k)")
+        for name, arr in (("base payoffs", base), ("weights", weights)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
+            if arr.min() < 0.0 or arr.max() > 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
         w = np.array(weights.transpose(3, 1, 0, 2), order="C")
         w[:, np.arange(n), np.arange(n)] = 0.0  # no self influence
         w.setflags(write=False)
@@ -72,25 +77,31 @@ class LinearInfluenceGame(Game):
         influence = pair.sum(axis=1)  # diagonal is zero by construction
         return (1.0 - self.mu) * self.base[idx, a] + self.mu / (self.n - 1) * influence
 
-    def payoffs_batch(self, actions: np.ndarray) -> np.ndarray:
+    def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         n, k = self.n, self.k
         scale = self.mu / (n - 1)
         w = self._w
         if k == 2:
-            x = actions.astype(np.float64)
+            x = np.asarray(actions, dtype=np.float64)  # float 0/1 rows pass without a copy
             # g_j[s, i] = sum_l w[i, l, j, a_sl]; d[j, l, i] = w[i, l, j, 1] - w[i, l, j, 0]
             d = np.ascontiguousarray((w[1] - w[0]).transpose(2, 0, 1))
-            g0 = x @ d[0]
-            g0 += self._batch_zero[:, 0]
-            g1 = x @ d[1]
-            g1 += self._batch_zero[:, 1]
-            own = g0
-            own += x * (g1 - g0)
-            base_own = self.base[:, 0] + x * (self.base[:, 1] - self.base[:, 0])
-            out = base_own
-            out *= 1.0 - self.mu
-            out += scale * own
-            return out
+            own = np.matmul(x, d[0], out=out)
+            own += self._batch_zero[:, 0]  # g0
+            tmp = x @ d[1]
+            tmp += self._batch_zero[:, 1]  # g1
+            tmp -= own
+            tmp *= x
+            own += tmp  # g0 + x (g1 - g0)
+            own *= scale
+            # (1 - mu) base_i(a_si) takes one of two values per player; with finite
+            # base payoffs exactly one of x t1 and (1 - x) t0 is nonzero, so adding
+            # both gives the bits of (1 - mu) (b0 + x (b1 - b0)).
+            b0, b1 = self.base[:, 0], self.base[:, 1]
+            t0 = b0 * (1.0 - self.mu)
+            t1 = (b0 + (b1 - b0)) * (1.0 - self.mu)
+            own += np.multiply(x, t1, out=tmp)
+            own += np.multiply(np.subtract(1.0, x, out=tmp), t0, out=tmp)
+            return own
         # received[s, i, j] = sum_l w[i, l, j, a_sl] - w[i, l, j, 0] sums one (s, n k)
         # GEMM per action b > 0.  Only the entries (s, i, a_si) are read, at flat
         # indices idx; adding them in b order equals summing the whole products first.
@@ -108,7 +119,7 @@ class LinearInfluenceGame(Game):
                 own += (x @ (w[b] - w[0]).reshape(n, n * k)).take(idx, out=x)
         cell = actions + np.arange(0, n * k, k)  # (i, a_si) in the (n, k) arrays
         own += self._batch_zero.ravel()[cell]
-        out = self.base.ravel()[cell]
+        out = np.take(self.base, cell, out=out)
         out *= 1.0 - self.mu
         out += scale * own
         return out

@@ -134,9 +134,14 @@ class Game(ABC):
     def payoff(self, player: int, actions) -> float:
         return float(self.payoffs(actions)[player])
 
-    def payoffs_batch(self, actions: np.ndarray) -> np.ndarray:
-        """Payoffs for a (S, n) batch of pure profiles; returns (S, n)."""
-        return np.stack([self.payoffs(row) for row in actions])
+    def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Payoffs for a (S, n) batch of pure profiles; returns (S, n).
+
+        Rows may hold integer-valued floats (the binary sampling draws 0.0/1.0).
+        With ``out`` (a float (S, n) array) the payoffs are written there and
+        ``out`` is returned; otherwise the result is a new array.
+        """
+        return np.stack([self.payoffs(row) for row in actions], out=out)
 
     @property
     def has_fast_expectation(self) -> bool:
@@ -167,9 +172,13 @@ class TensorGame(Game):
         a = as_pure_profile(actions, self.n, self.k)
         return self.tensor[(slice(None), *a)].copy()
 
-    def payoffs_batch(self, actions: np.ndarray) -> np.ndarray:
-        idx = tuple(actions[:, j] for j in range(self.n))
-        return self.tensor[(slice(None), *idx)].T.copy()
+    def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        a = np.asarray(actions, dtype=np.intp)
+        payoffs = self.tensor[(slice(None), *a.T)].T
+        if out is None:
+            return payoffs.copy()
+        out[...] = payoffs
+        return out
 
     @property
     def has_fast_expectation(self) -> bool:
@@ -222,8 +231,9 @@ class IndependentGame(Game):
         a = as_pure_profile(actions, self.n, self.k)
         return self.values[np.arange(self.n), a].copy()
 
-    def payoffs_batch(self, actions: np.ndarray) -> np.ndarray:
-        return self.values[np.arange(self.n)[None, :], actions]
+    def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        cell = np.asarray(actions, dtype=np.intp) + np.arange(0, self.n * self.k, self.k)
+        return np.take(self.values, cell, out=out)
 
     @property
     def has_fast_expectation(self) -> bool:

@@ -70,8 +70,8 @@ class StochasticGame(Game):
     def payoffs(self, actions) -> np.ndarray:
         return self.base.payoffs(actions)
 
-    def payoffs_batch(self, actions: np.ndarray) -> np.ndarray:
-        return self.base.payoffs_batch(actions)
+    def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return self.base.payoffs_batch(actions, out=out)
 
     @property
     def has_fast_expectation(self) -> bool:
@@ -80,9 +80,10 @@ class StochasticGame(Game):
     def mixed_payoff_table(self, profile: MixedProfile) -> np.ndarray:
         return self.base.mixed_payoff_table(profile)
 
-    def sample_payoffs_batch(self, actions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        means = self.base.payoffs_batch(actions)
-        return (rng.random(means.shape) < means).astype(float)
+    def sample_payoffs_batch(self, actions: np.ndarray, rng: np.random.Generator,
+                             out: np.ndarray | None = None) -> np.ndarray:
+        means = self.base.payoffs_batch(actions, out=out)  # out, or a new array
+        return np.less(rng.random(means.shape), means, out=means)
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,7 @@ class OracleSession:
         self.pure_queries = 0
         self.qm_calls = 0
         self._trace = open(trace_path, "w") if trace_path else None
+        self._binary_chunk = None  # (actions, payoffs, p_one rows): binary sampling buffers
 
     # -- pure queries -------------------------------------------------
 
@@ -140,26 +142,30 @@ class OracleSession:
             return float(payoffs[player])
         return payoffs
 
-    def _pure_batch(self, actions: np.ndarray) -> np.ndarray:
+    def _pure_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Payoffs of a batch of integer-valued action rows, into ``out`` if given."""
         if actions.ndim != 2 or actions.shape[1] != self.game.n:
             raise ValueError("batch must have shape (S, n)")
         if actions.size and (actions.min() < 0 or actions.max() >= self.game.k):
             raise ValueError("actions out of range")
         if getattr(self.game, "is_stochastic", False):
-            payoffs = self.game.sample_payoffs_batch(actions, self.rng)
+            payoffs = self.game.sample_payoffs_batch(actions, self.rng, out=out)
         else:
-            payoffs = self.game.payoffs_batch(actions)
+            payoffs = self.game.payoffs_batch(actions, out=out)
         self.pure_queries += actions.shape[0]
         if self._trace is not None:
             start = self.pure_queries - actions.shape[0]
-            for off, (a, u) in enumerate(zip(actions, payoffs)):
+            for off, (a, u) in enumerate(zip(actions.astype(np.int64), payoffs)):
                 self._trace.write(json.dumps(
                     {"t": start + off, "profile": a.tolist(), "payoffs": u.tolist()}) + "\n")
         return payoffs
 
     # -- sampled mixed estimates ---------------------------------------
 
-    _CHUNK = 4096  # rows per sampling block; keeps temporaries cache-friendly
+    # Rows per sampling block.  The per-player sums of each block are added
+    # across blocks, so the block size fixes the rounding of every estimate:
+    # another size gives other low bits.
+    _CHUNK = 4096
 
     def sample_mixed_binary(self, profile: MixedProfile, beta: float, delta: float) -> MixedEstimate:
         """Estimate E[u_i(j, .)] by sampling pure profiles from the blend of ``profile``."""
@@ -168,11 +174,18 @@ class OracleSession:
         n_queries = binary_sample_count(beta, delta, self.game.n)
         p_one = blend_binary(profile.binary(), beta)
         p_prime = np.column_stack([1.0 - p_one, p_one])
+        if self._binary_chunk is None:
+            shape = (self._CHUNK, self.game.n)
+            self._binary_chunk = (np.empty(shape), np.empty(shape), np.empty(shape))
+        x, payoffs, p_rows = self._binary_chunk
+        p_rows[...] = p_one  # chunk-shaped, so the comparison runs without broadcasting
 
         def draw(m):
-            return (self.rng.random((m, self.game.n)) < p_one).astype(np.int8)
+            # the uniform draws are compared in place, leaving 0.0/1.0 actions in x
+            self.rng.random(out=x[:m])
+            return np.less(x[:m], p_rows[:m], out=x[:m])
 
-        return self._estimate_from_queries(n_queries, draw, p_prime, beta, delta)
+        return self._estimate_from_queries(n_queries, draw, p_prime, beta, delta, payoffs)
 
     def sample_mixed_kaction(self, profile: MixedProfile, beta: float, delta: float) -> MixedEstimate:
         if self.game.k < 2:
@@ -191,27 +204,34 @@ class OracleSession:
 
         return self._estimate_from_queries(n_queries, draw, p_prime, beta, delta)
 
-    def _estimate_from_queries(self, n_queries, draw, p_prime, beta, delta) -> MixedEstimate:
+    def _estimate_from_queries(self, n_queries, draw, p_prime, beta, delta,
+                               payoff_buffer=None) -> MixedEstimate:
         n, k = self.game.n, self.game.k
         counts = np.zeros((n, k))
         sums = np.zeros((n, k))
         done = 0
         while done < n_queries:
-            actions = draw(min(self._CHUNK, n_queries - done))
-            payoffs = self._pure_batch(actions)
+            m = min(self._CHUNK, n_queries - done)
+            actions = draw(m)
+            payoffs = self._pure_batch(
+                actions, None if payoff_buffer is None else payoff_buffer[:m])
             if k == 2:
-                ones = actions.sum(axis=0, dtype=np.int64)
+                # einsum adds the rows in the order of sum(axis=0) without its
+                # per-row inner loops.  It sums int8 rows in int8, so the counts
+                # come from float rows (the binary draw's own, or a converted copy).
+                x = np.asarray(actions, dtype=np.float64)
+                ones = np.einsum("sn->n", x)
                 counts[:, 1] += ones
-                counts[:, 0] += actions.shape[0] - ones
-                paid_ones = (payoffs * actions).sum(axis=0)
+                counts[:, 0] += m - ones
+                paid_ones = np.einsum("sn,sn->n", payoffs, x)
                 sums[:, 1] += paid_ones
-                sums[:, 0] += payoffs.sum(axis=0) - paid_ones
+                sums[:, 0] += np.einsum("sn->n", payoffs) - paid_ones
             else:
                 # flat index of cell (i, a_si); bincount adds each cell's payoffs in row order
                 cell = (actions + np.arange(0, n * k, k)).ravel()
                 counts += np.bincount(cell, minlength=n * k).reshape(n, k)
                 sums += np.bincount(cell, weights=payoffs.ravel(), minlength=n * k).reshape(n, k)
-            done += actions.shape[0]
+            done += m
         values = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0)
         return MixedEstimate(values=values, samples=n_queries, beta=beta,
                              delta=delta, p_prime=p_prime, counts=counts)

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import largegames as lg
 from largegames.binary import (
     BAD_REGRET,
     ONE_STEP_ALPHA,
     ONE_STEP_SHIFT,
+    _banded_rounds,
+    _curve_rule,
+    _plane_rule,
     label_bad_players,
     plane_residual,
 )
@@ -371,3 +375,68 @@ def test_curve_dynamics_wsne_consistency_small_budget():
         assert np.all(pstar[saturated] == 1.0)
         # saturation means the final profile is even a c-supported equilibrium
         assert lg.is_wsne(g, profile, c + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# complete uncoupledness: player i's trajectory reads only player i's row
+
+def _scripted_trajectory(rule, p0, tables):
+    """Run the banded round loop on scripted payoff tables (one per estimate).
+
+    Returns the p and residual every round starts from, and the final p."""
+    script = iter(tables[2:])
+    seen = []
+    p, _ = _banded_rounds(lambda p: next(script), rule, p0, tables[0], tables[1],
+                          len(tables) - 1, lambda p, v, resid: seen.append((p, resid)))
+    return np.array([p for p, _ in seen] + [p]), np.array([resid for _, resid in seen])
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 6), rounds=st.integers(1, 6),
+       step=st.floats(1e-3, 0.3), c=st.floats(0.25, 4.0),
+       kind=st.sampled_from(("plane", "curve", "plane-march")))
+def test_player_trajectory_depends_only_on_own_payoff_row(data, n, rounds, step, c, kind):
+    """The paper's complete uncoupledness, checked on the shared round loop.
+
+    Player i's probabilities and residuals must be byte-identical when every
+    other player's payoff rows, starting probability and (for the broadcast
+    march of plane-comm, ``_plane_rule(step, bad)``) bad-player flag change.
+    """
+    tables = data.draw(hnp.arrays(np.float64, (rounds + 1, n, 2), elements=unit))
+    other_tables = data.draw(hnp.arrays(np.float64, (rounds + 1, n, 2), elements=unit))
+    p0 = data.draw(hnp.arrays(np.float64, n, elements=unit))
+    other_p0 = data.draw(hnp.arrays(np.float64, n, elements=unit))
+    bad = data.draw(hnp.arrays(bool, n))
+    other_bad = data.draw(hnp.arrays(bool, n))
+    i = data.draw(st.integers(0, n - 1))
+
+    other_tables[:, i] = tables[:, i]
+    other_p0[i] = p0[i]
+    other_bad[i] = bad[i]
+    if kind == "plane":
+        rule, other_rule = _plane_rule(step), _plane_rule(step)
+    elif kind == "curve":
+        rule, other_rule = _curve_rule(c, step), _curve_rule(c, step)
+    else:
+        rule, other_rule = _plane_rule(step, bad), _plane_rule(step, other_bad)
+
+    probs, resids = _scripted_trajectory(rule, p0, tables)
+    other_probs, other_resids = _scripted_trajectory(other_rule, other_p0, other_tables)
+    assert probs[:, i].tobytes() == other_probs[:, i].tobytes()
+    assert resids[:, i].tobytes() == other_resids[:, i].tobytes()
+
+
+def test_scripted_trajectory_reads_the_own_row():
+    # the property above is not vacuous: changing player 0's own row moves player 0
+    tables = np.full((4, 3, 2), 0.5)
+    tables[1:, :, 1] = 0.9
+    moved = tables.copy()
+    moved[1:, 0, 1] = 0.1
+    for rule in (_plane_rule(0.05), _curve_rule(1.0, 0.05)):
+        probs, _ = _scripted_trajectory(rule, np.full(3, 0.5), tables)
+        other, _ = _scripted_trajectory(rule, np.full(3, 0.5), moved)
+        assert probs[-1, 0] != other[-1, 0]
+        assert np.array_equal(probs[:, 1:], other[:, 1:])

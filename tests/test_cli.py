@@ -235,6 +235,19 @@ def test_verify_mismatched_profile_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: profile shape does not match game\n"
 
 
+def test_missing_input_file_is_an_input_error(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.json"
+    profile_path = tmp_path / "profile.json"
+    profile_path.write_text(json.dumps({"binary": [0.5] * 4}))
+    assert main(["verify", "--game", str(missing), "--profile", str(profile_path),
+                 "--eps", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert captured.out == ""
+    assert main(["run", "--config", str(missing)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_verify_pass_and_fail(tmp_path):
     game_path = tmp_path / "game.json"
     main(["generate", "--family", "linear-influence", "--n", "8", "--c", "1.0",

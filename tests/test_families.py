@@ -117,6 +117,24 @@ def test_linear_influence_weights_read_only_without_self_influence():
     assert np.all(raw[np.arange(5), np.arange(5)] > 0.0)  # the input is not modified
 
 
+@pytest.mark.parametrize("part,index,value,message", [
+    ("base", (0, 0), np.nan, "base payoffs must be finite"),
+    ("base", (1, 1), np.inf, "base payoffs must be finite"),
+    ("base", (0, 1), 1.5, r"base payoffs must lie in \[0, 1\]"),
+    ("base", (1, 0), -0.1, r"base payoffs must lie in \[0, 1\]"),
+    ("weights", (0, 1, 0, 1), np.nan, "weights must be finite"),
+    ("weights", (1, 0, 1, 1), -np.inf, "weights must be finite"),
+    ("weights", (0, 1, 1, 0), 5.0, r"weights must lie in \[0, 1\]"),
+    ("weights", (1, 1, 0, 0), -1.0, r"weights must lie in \[0, 1\]"),
+])
+def test_linear_influence_rejects_bad_payoff_entries(part, index, value, message):
+    rng = np.random.default_rng(0)
+    arrays = {"base": rng.random((2, 2)), "weights": rng.random((2, 2, 2, 2))}
+    arrays[part][index] = value
+    with pytest.raises(ValueError, match=message):
+        lg.LinearInfluenceGame(arrays["base"], arrays["weights"], 1.0)
+
+
 def test_linear_influence_kernels_are_patchable_class_attributes():
     # the benchmark tracer wraps these through vars(LinearInfluenceGame)
     assert "mixed_payoff_table" in vars(lg.LinearInfluenceGame)

@@ -78,8 +78,8 @@ def recorded_estimate(game, profile, beta, seed, chunk):
     chunks = []
     pure_batch = session._pure_batch
 
-    def record(actions):
-        payoffs = pure_batch(actions)
+    def record(actions, out=None):
+        payoffs = pure_batch(actions, out)
         chunks.append((actions, payoffs))
         return payoffs
 
