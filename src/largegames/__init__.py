@@ -9,7 +9,6 @@ from .games import (
     LargenessReport,
     MixedProfile,
     RegretReport,
-    StrategyPayoffState,
     TensorGame,
     check_largeness,
     constant_game,
@@ -22,7 +21,6 @@ from .games import (
     mixed_payoff_table,
     regret,
     regret_report,
-    strategy_payoff_state,
 )
 from .oracles import (
     MixedEstimate,
@@ -46,7 +44,6 @@ from .binary import (
     BadGoodLabels,
     DynamicsParams,
     DynamicsRecorder,
-    PlaneBand,
     communication_dynamics,
     curve_band,
     curve_dynamics,
@@ -54,7 +51,6 @@ from .binary import (
     curve_target,
     one_step,
     plane_dynamics,
-    plane_product,
     plane_residual,
     two_step,
     uniform_profile,

@@ -19,7 +19,6 @@ from .games import MixedProfile
 from .oracles import OracleSession
 from .reports import build_report
 
-PLANE_NORMAL = np.array([-0.5, 0.5, 1.0])
 PLANE_OFFSET = 0.5
 
 # single-adjustment constants: argmin of max(a/2 + d, 1/2 - d, (1/2)(1+2d)(2d-a))
@@ -29,30 +28,9 @@ ONE_STEP_SHIFT = math.sqrt(11.0 / 48.0) - 0.25
 BAD_REGRET = 0.12  # plane states with best-response mass in [0.7, 0.8]
 
 
-def plane_product(state) -> float:
-    """Inner product of a strategy/payoff state (v1, v0, p) with the plane normal."""
-    return float(np.dot(np.asarray(state, dtype=float), PLANE_NORMAL))
-
-
 def plane_residual(v1, v0, p):
     """Signed distance-like residual; zero exactly on the plane."""
     return p - PLANE_OFFSET - (np.asarray(v1) - np.asarray(v0)) / 2.0
-
-
-@dataclass(frozen=True)
-class PlaneBand:
-    """The band of states whose plane product is within half_width of 1/2."""
-
-    half_width: float
-
-    normal = PLANE_NORMAL
-    offset = PLANE_OFFSET
-
-    def residual(self, state) -> float:
-        return plane_product(state) - self.offset
-
-    def contains(self, state, tol: float = 1e-12) -> bool:
-        return abs(self.residual(state)) <= self.half_width + tol
 
 
 @dataclass(frozen=True)
@@ -157,10 +135,10 @@ class _MixedEstimator:
         self.delta = delta
 
     def __call__(self, p_one: np.ndarray) -> np.ndarray:
-        profile = MixedProfile.from_binary(p_one)
+        probs = np.column_stack([1.0 - p_one, p_one])
         if self.mode == "exact":
-            return self.session.exact_mixed(profile)
-        return self.session.sample_mixed_binary(profile, self.beta, self.delta).values
+            return self.session.exact_mixed(probs)
+        return self.session.sample_mixed_binary(probs, self.beta, self.delta).values
 
 
 def uniform_profile(n: int, k: int = 2) -> MixedProfile:

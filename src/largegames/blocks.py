@@ -180,15 +180,11 @@ def block_update(session: OracleSession, blocks: int, mode: str = "exact",
     for i in range(n):
         counts[i] = np.bincount(allocation[i], minlength=k)
 
-    def induced() -> MixedProfile:
-        return MixedProfile(counts / blocks)
-
     for t in range(blocks):
-        profile = induced()
         if mode == "exact":
-            table = session.exact_mixed(profile)
+            table = session.exact_mixed(counts / blocks)
         elif mode == "sampling":
-            table = session.sample_mixed_kaction(profile, beta, delta).values
+            table = session.sample_mixed_kaction(counts / blocks, beta, delta).values
         else:
             raise ValueError("oracle mode must be 'exact' or 'sampling'")
         best = np.argmax(table, axis=1)  # lowest index wins ties
@@ -197,7 +193,7 @@ def block_update(session: OracleSession, blocks: int, mode: str = "exact",
         counts[np.arange(n), old] -= 1
         counts[np.arange(n), best] += 1
 
-    profile = induced()
+    profile = MixedProfile(counts / blocks)
     report = build_report(
         "block-update", {"blocks": blocks, "mode": mode, "init": init},
         session, profile, rounds=blocks,

@@ -15,7 +15,6 @@ import numpy as np
 from .games import (
     Game,
     IndependentGame,
-    MixedProfile,
     TensorGame,
     as_pure_profile,
     _readonly,
@@ -128,8 +127,8 @@ class LinearInfluenceGame(Game):
     def has_fast_expectation(self) -> bool:
         return True
 
-    def mixed_payoff_table(self, profile: MixedProfile) -> np.ndarray:
-        w, probs = self._w, profile.probs
+    def mixed_payoff_table(self, probs: np.ndarray) -> np.ndarray:
+        w = self._w
         terms = [w[b] * probs[:, b][:, None, None] for b in range(self.k)]
         # einsum's order: even actions, odd actions, the two sums, then opponents
         mixed = (sum(terms[2::2], terms[0]) + sum(terms[3::2], terms[1])).sum(axis=0)

@@ -86,7 +86,7 @@ class MixedProfile:
 
     @classmethod
     def pure(cls, actions, k: int) -> "MixedProfile":
-        a = np.asarray(actions, dtype=int)
+        a = as_pure_profile(actions, len(actions), k)
         mat = np.zeros((a.shape[0], k))
         mat[np.arange(a.shape[0]), a] = 1.0
         return cls(mat)
@@ -116,7 +116,9 @@ class Game(ABC):
     Games whose expected payoffs have a closed multilinear form should
     also implement ``mixed_payoff_table`` and report
     ``has_fast_expectation = True``; everything else falls back to
-    brute-force enumeration over the opponents' joint support.
+    brute-force enumeration over the opponents' joint support.  The
+    kernel takes a trusted (n, k) probability array: profiles are checked
+    where they enter, by ``MixedProfile`` and the module-level verifiers.
     """
 
     n: int
@@ -147,7 +149,7 @@ class Game(ABC):
     def has_fast_expectation(self) -> bool:
         return False
 
-    def mixed_payoff_table(self, profile: MixedProfile) -> np.ndarray:
+    def mixed_payoff_table(self, probs: np.ndarray) -> np.ndarray:
         raise CapabilityError(f"{type(self).__name__} has no fast expectation path")
 
 
@@ -184,15 +186,14 @@ class TensorGame(Game):
     def has_fast_expectation(self) -> bool:
         return True
 
-    def mixed_payoff_table(self, profile: MixedProfile) -> np.ndarray:
-        p = profile.probs
+    def mixed_payoff_table(self, probs: np.ndarray) -> np.ndarray:
         table = np.empty((self.n, self.k))
         for i in range(self.n):
             t = self.tensor[i]
             # contract opponents from the highest axis down so lower axes keep position
             for axis in range(self.n - 1, -1, -1):
                 if axis != i:
-                    t = np.tensordot(t, p[axis], axes=(axis, 0))
+                    t = np.tensordot(t, probs[axis], axes=(axis, 0))
             table[i] = t
         return table
 
@@ -239,7 +240,7 @@ class IndependentGame(Game):
     def has_fast_expectation(self) -> bool:
         return True
 
-    def mixed_payoff_table(self, profile: MixedProfile) -> np.ndarray:
+    def mixed_payoff_table(self, probs: np.ndarray) -> np.ndarray:
         return self.values.copy()
 
 
@@ -291,17 +292,21 @@ def expected_payoff(game: Game, profile: MixedProfile, player: int, action: int)
     if not 0 <= action < game.k:
         raise ValueError("action out of range")
     if game.has_fast_expectation:
-        return float(game.mixed_payoff_table(profile)[player, action])
+        return float(game.mixed_payoff_table(profile.probs)[player, action])
     return _enumerated_cell(game, profile.probs, player, action)
+
+
+def _payoff_table(game: Game, probs: np.ndarray) -> np.ndarray:
+    """The exact table at a trusted (n, k) array: the game's kernel, else enumeration."""
+    if game.has_fast_expectation:
+        return game.mixed_payoff_table(probs)
+    return np.array([[_enumerated_cell(game, probs, i, j)
+                      for j in range(game.k)] for i in range(game.n)])
 
 
 def mixed_payoff_table(game: Game, profile: MixedProfile) -> np.ndarray:
     """Matrix of expected payoffs, entry (i, j) = E[u_i(j, a_-i)]."""
-    _check_profile(game, profile)
-    if game.has_fast_expectation:
-        return game.mixed_payoff_table(profile)
-    return np.array([[_enumerated_cell(game, profile.probs, i, j)
-                      for j in range(game.k)] for i in range(game.n)])
+    return _payoff_table(game, _check_profile(game, profile).probs)
 
 
 # ---------------------------------------------------------------------------
@@ -329,41 +334,6 @@ def discrepancy(game: Game, profile: MixedProfile, player: int) -> float:
         raise ValueError("discrepancy is defined for binary games only")
     table = mixed_payoff_table(game, profile)
     return float(abs(table[player, 0] - table[player, 1]))
-
-
-@dataclass(frozen=True)
-class StrategyPayoffState:
-    """The triple (payoff of action 1, payoff of action 0, P[action 1])."""
-
-    v1: float
-    v0: float
-    p: float
-
-    def __post_init__(self):
-        for name in ("v1", "v0", "p"):
-            x = getattr(self, name)
-            if not -PROB_TOL <= x <= 1 + PROB_TOL:
-                raise ValueError(f"{name} must lie in [0, 1]")
-
-    @property
-    def discrepancy(self) -> float:
-        return abs(self.v1 - self.v0)
-
-    @property
-    def best_response_mass(self) -> float:
-        return self.p if self.v1 >= self.v0 else 1.0 - self.p
-
-    @property
-    def regret(self) -> float:
-        return self.discrepancy * (1.0 - self.best_response_mass)
-
-
-def strategy_payoff_state(game: Game, profile: MixedProfile, player: int) -> StrategyPayoffState:
-    if game.k != 2:
-        raise ValueError("strategy/payoff states are defined for binary games only")
-    table = mixed_payoff_table(game, profile)
-    return StrategyPayoffState(v1=float(table[player, 1]), v0=float(table[player, 0]),
-                               p=float(profile.probs[player, 1]))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game, MixedProfile, mixed_payoff_table
+from .games import Game, _payoff_table
 
 
 def binary_sample_count(beta: float, delta: float, n: int) -> int:
@@ -77,8 +77,8 @@ class StochasticGame(Game):
     def has_fast_expectation(self) -> bool:
         return self.base.has_fast_expectation
 
-    def mixed_payoff_table(self, profile: MixedProfile) -> np.ndarray:
-        return self.base.mixed_payoff_table(profile)
+    def mixed_payoff_table(self, probs: np.ndarray) -> np.ndarray:
+        return self.base.mixed_payoff_table(probs)
 
     def sample_payoffs_batch(self, actions: np.ndarray, rng: np.random.Generator,
                              out: np.ndarray | None = None) -> np.ndarray:
@@ -103,44 +103,39 @@ class MixedEstimate:
     p_prime: np.ndarray        # (n, k) blended profile the queries were drawn from
     counts: np.ndarray         # (n, k) observations per cell
 
-    def player_view(self, player: int) -> np.ndarray:
-        """The one row a player learns about in the uncoupled setting."""
-        return self.values[player].copy()
-
 
 class OracleSession:
     """Query access to one game with counting, seeding and optional tracing.
 
     A session is single-owner: counters and the random stream mutate with
     each call.  Distinct sessions with distinct seeds are independent.
-    With ``uncoupled=True`` pure queries must name the calling player and
-    return only that player's payoff.
+    Mixed estimates take the (n, k) probability array itself; its shape is
+    checked, its values are trusted (``MixedProfile`` checks them where a
+    profile enters).
     """
 
-    def __init__(self, game: Game, seed: int = 0, uncoupled: bool = False,
-                 trace_path=None):
+    def __init__(self, game: Game, seed: int = 0, trace_path=None):
         self.game = game
         self.seed = seed
-        self.uncoupled = uncoupled
         self.rng = np.random.default_rng(seed)
         self.pure_queries = 0
         self.qm_calls = 0
         self._trace = open(trace_path, "w") if trace_path else None
         self._binary_chunk = None  # (actions, payoffs, p_one rows): binary sampling buffers
 
+    def _check_shape(self, probs: np.ndarray):
+        shape = (self.game.n, self.game.k)
+        if probs.shape != shape:
+            raise ValueError(f"probabilities must have shape {shape}, got {probs.shape}")
+
     # -- pure queries -------------------------------------------------
 
-    def query_pure(self, actions, player: int | None = None):
+    def query_pure(self, actions) -> np.ndarray:
         """One pure-profile query; stochastic games return a fresh draw."""
-        if self.uncoupled and player is None:
-            raise ValueError("uncoupled sessions reveal payoffs per calling player")
         a = np.asarray(actions)
         if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.round(a))):
             raise ValueError("actions must be integers")
-        payoffs = self._pure_batch(a.astype(np.int64)[None, :])[0]
-        if player is not None:
-            return float(payoffs[player])
-        return payoffs
+        return self._pure_batch(a.astype(np.int64)[None, :])[0]
 
     def _pure_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Payoffs of a batch of integer-valued action rows, into ``out`` if given."""
@@ -167,12 +162,13 @@ class OracleSession:
     # another size gives other low bits.
     _CHUNK = 4096
 
-    def sample_mixed_binary(self, profile: MixedProfile, beta: float, delta: float) -> MixedEstimate:
-        """Estimate E[u_i(j, .)] by sampling pure profiles from the blend of ``profile``."""
+    def sample_mixed_binary(self, probs: np.ndarray, beta: float, delta: float) -> MixedEstimate:
+        """Estimate E[u_i(j, .)] by sampling pure profiles from the blend of ``probs``."""
         if self.game.k != 2:
             raise ValueError("binary sampling requires k = 2")
+        self._check_shape(probs)
         n_queries = binary_sample_count(beta, delta, self.game.n)
-        p_one = blend_binary(profile.binary(), beta)
+        p_one = blend_binary(probs[:, 1], beta)
         p_prime = np.column_stack([1.0 - p_one, p_one])
         if self._binary_chunk is None:
             shape = (self._CHUNK, self.game.n)
@@ -187,11 +183,12 @@ class OracleSession:
 
         return self._estimate_from_queries(n_queries, draw, p_prime, beta, delta, payoffs)
 
-    def sample_mixed_kaction(self, profile: MixedProfile, beta: float, delta: float) -> MixedEstimate:
+    def sample_mixed_kaction(self, probs: np.ndarray, beta: float, delta: float) -> MixedEstimate:
         if self.game.k < 2:
             raise ValueError("need at least two actions")
+        self._check_shape(probs)
         n_queries = kaction_sample_count(beta, delta, self.game.n, self.game.k)
-        p_prime = blend_kaction(profile.probs, beta)
+        p_prime = blend_kaction(probs, beta)
         cdf = np.cumsum(p_prime, axis=1)
 
         def draw(m):
@@ -238,10 +235,11 @@ class OracleSession:
 
     # -- exact mixed queries -------------------------------------------
 
-    def exact_mixed(self, profile: MixedProfile) -> np.ndarray:
+    def exact_mixed(self, probs: np.ndarray) -> np.ndarray:
         """Exact expected payoff table u_i(j, p_-i); counted apart from pure queries."""
+        self._check_shape(probs)
         self.qm_calls += 1
-        return mixed_payoff_table(self.game, profile)
+        return _payoff_table(self.game, probs)
 
     def close(self):
         if self._trace is not None:

@@ -104,7 +104,7 @@ def test_criterion_06_sampling_concentration():
     exact = None
     good = 0
     for s in range(200):
-        est = lg.OracleSession(g, seed=10_000 + s).sample_mixed_binary(p, beta, delta)
+        est = lg.OracleSession(g, seed=10_000 + s).sample_mixed_binary(p.probs, beta, delta)
         if exact is None:
             exact = lg.mixed_payoff_table(g, lg.MixedProfile(est.p_prime))
         if np.abs(est.values - exact).max() <= beta:

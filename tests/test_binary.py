@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import largegames as lg
+from largegames import runner
 from largegames.binary import (
     BAD_REGRET,
     ONE_STEP_ALPHA,
@@ -59,20 +60,19 @@ def test_params_validation():
        w=st.lists(st.floats(-1, 1), min_size=3, max_size=3),
        lam=st.floats(0.01, 1.0))
 def test_plane_product_step_safety(x, w, lam):
+    # the residual is the plane product (v1, v0, p) . (-1/2, 1/2, 1) minus 1/2
     w = [wi * lam for wi in w]  # scale into the infinity-norm ball
-    before = lg.plane_product(x)
-    after = lg.plane_product([xi + wi for xi, wi in zip(x, w)])
+    before = plane_residual(*x)
+    after = plane_residual(*[xi + wi for xi, wi in zip(x, w)])
     assert abs(after - before) <= 2 * lam + 1e-12
-    held = lg.plane_product([x[0] + w[0], x[1] + w[1], x[2]])
+    held = plane_residual(x[0] + w[0], x[1] + w[1], x[2])
     assert abs(held - before) <= lam + 1e-12
 
 
 def test_plane_band_contains():
-    band = lg.PlaneBand(0.1)
-    on_plane = (1.0, 0.0, 1.0)
-    assert band.residual(on_plane) == pytest.approx(0.0)
-    assert band.contains(on_plane)
-    assert not band.contains((0.5, 0.5, 0.8))  # residual 0.3
+    # (v1, v0, p) = (1, 0, 1): best-response mass p equals (1 + D) / 2
+    assert plane_residual(1.0, 0.0, 1.0) == 0.0
+    assert plane_residual(0.5, 0.5, 0.8) == pytest.approx(0.3)  # outside a 0.1 band
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +440,35 @@ def test_scripted_trajectory_reads_the_own_row():
         other, _ = _scripted_trajectory(rule, np.full(3, 0.5), moved)
         assert probs[-1, 0] != other[-1, 0]
         assert np.array_equal(probs[:, 1:], other[:, 1:])
+
+
+# ---------------------------------------------------------------------------
+# profiles are checked where they enter and built once per run, not per round
+
+@pytest.mark.parametrize("algo,short,long", [
+    ("plane", {"alpha": 0.3}, {"alpha": 0.05}),
+    ("plane-comm", {"alpha": 0.3}, {"alpha": 0.05}),
+    ("curve", {"alpha": 0.3}, {"alpha": 0.05}),
+    ("curve-flow", {"step_h": 0.05}, {"step_h": 0.005}),
+    ("block-update", {"blocks": 3}, {"blocks": 30}),
+])
+def test_mixed_profiles_built_per_run_not_per_round(monkeypatch, algo, short, long):
+    built = []
+    check = lg.MixedProfile.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(lg.MixedProfile, "__post_init__", counted)
+    counts, rounds = [], []
+    for algo_params in (short, long):
+        config = runner.ExperimentConfig(
+            family={"family": "linear-influence", "params": {"n": 8, "k": 2, "c": 1.0}},
+            algo=algo, algo_params=algo_params, seeds=[0])
+        built.clear()
+        report, _, _ = runner.run_one(config, 0)
+        counts.append(len(built))
+        rounds.append(report.rounds)
+    assert rounds[1] > 2 * rounds[0]
+    assert counts == [1, 1]  # the final profile only

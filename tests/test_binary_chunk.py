@@ -101,7 +101,7 @@ def recorded_estimate(game, profile, beta, seed, chunk):
         return payoffs
 
     session._pure_batch = record
-    return session.sample_mixed_binary(profile, beta, 0.05), chunks, session
+    return session.sample_mixed_binary(profile.probs, beta, 0.05), chunks, session
 
 
 def assert_same_estimate(game, profile, beta, seed, rows, chunk):
@@ -154,7 +154,7 @@ def test_whole_estimate_at_the_benchmark_setting_matches_reference():
     game = lg.gen_linear_influence(10, 2, 1.0, seed=4)
     profile = random_profile(10, 1)
     session = lg.OracleSession(game, seed=2)
-    est = session.sample_mixed_binary(profile, 0.2, params.eta / params.rounds)
+    est = session.sample_mixed_binary(profile.probs, 0.2, params.eta / params.rounds)
     assert est.samples == oracles.binary_sample_count(0.2, params.eta / params.rounds, 10)
     assert est.samples % lg.OracleSession._CHUNK != 0
     _, ref_counts, ref_values, ref_rng = reference_estimate(
@@ -167,9 +167,9 @@ def test_whole_estimate_at_the_benchmark_setting_matches_reference():
 def test_session_reuses_its_buffers_across_estimates():
     game = lg.gen_linear_influence(6, 2, 1.0, seed=0)
     session = lg.OracleSession(game, seed=0)
-    first = session.sample_mixed_binary(lg.MixedProfile.uniform(6), 0.5, 0.5)
+    first = session.sample_mixed_binary(lg.MixedProfile.uniform(6).probs, 0.5, 0.5)
     buffers = session._binary_chunk
-    second = session.sample_mixed_binary(random_profile(6, 2), 0.5, 0.5)
+    second = session.sample_mixed_binary(random_profile(6, 2).probs, 0.5, 0.5)
     assert all(a is b for a, b in zip(session._binary_chunk, buffers))
     # estimates hold their own arrays, not views of the buffers
     assert not any(np.shares_memory(arr, buf) for buf in buffers
@@ -244,7 +244,7 @@ def test_trace_lines_carry_integer_profiles(monkeypatch, tmp_path):
     path = tmp_path / "trace.jsonl"
     session = lg.OracleSession(game, seed=3, trace_path=path)
     session._CHUNK = 10
-    session.sample_mixed_binary(profile, 0.3, 0.1)
+    session.sample_mixed_binary(profile.probs, 0.3, 0.1)
     session.close()
     lines = path.read_text().splitlines()
     chunks, _, _, _ = reference_estimate(game, profile, 0.3, 3, rows, 10)

@@ -80,7 +80,7 @@ def test_linear_influence_table_is_the_einsum_bit_for_bit(k):
         for probs in _profiles(n, k, rng):
             reference = np.einsum("iljb,lb->ij", weights, probs)
             expected = (1.0 - g.mu) * g.base + g.mu / (n - 1) * reference
-            assert np.array_equal(g.mixed_payoff_table(lg.MixedProfile(probs)), expected)
+            assert np.array_equal(g.mixed_payoff_table(probs), expected)
 
 
 @pytest.mark.parametrize("n,k", [(2, 6), (3, 4), (5, 3), (6, 2)])
@@ -88,7 +88,7 @@ def test_linear_influence_table_matches_enumeration_small_n(n, k):
     rng = np.random.default_rng(10 * n + k)
     g = lg.gen_linear_influence(n, k, 1.0, seed=k)
     for probs in _profiles(n, k, rng):
-        table = g.mixed_payoff_table(lg.MixedProfile(probs))
+        table = g.mixed_payoff_table(probs)
         slow = np.array([[_enumerated_cell(g, probs, i, j) for j in range(k)]
                          for i in range(n)])
         assert np.allclose(table, slow, rtol=0.0, atol=1e-12)

@@ -130,8 +130,12 @@ def test_uniform_regret_at_most_half():
 def test_discrepancy_values():
     g = independent_game(2)
     p = lg.MixedProfile.uniform(2, 2)
+    assert lg.mixed_payoff_table(g, p)[0].tolist() == [0.3, 0.7]
     assert lg.discrepancy(g, p, 0) == pytest.approx(0.4, abs=1e-15)
+    # at p = 1/2 the best-response mass is 1/2, so the regret is D / 2
+    assert lg.regret(g, p, 0) == pytest.approx(0.2, abs=1e-15)
     assert lg.discrepancy(lg.constant_game(2), p, 0) == 0.0
+    assert lg.discrepancy(lg.constant_game(3), lg.MixedProfile.uniform(3, 2), 1) == 0.0
     with pytest.raises(ValueError):
         lg.discrepancy(lg.gen_tiny_tensor(2, 3, 1.0, seed=0), lg.MixedProfile.uniform(2, 3), 0)
 
@@ -141,9 +145,11 @@ def test_discrepancy_values():
 def test_regret_is_discrepancy_times_offmass(seed, profile_seed):
     g = lg.gen_linear_influence(4, 2, 1.0, seed=seed)
     p = lg.MixedProfile.from_binary(np.random.default_rng(profile_seed).random(4))
+    table = lg.mixed_payoff_table(g, p)
     for i in range(4):
-        state = lg.strategy_payoff_state(g, p, i)
-        assert lg.regret(g, p, i) == pytest.approx(state.regret, abs=1e-12)
+        v0, v1 = table[i]
+        pstar = p.probs[i, 1] if v1 >= v0 else p.probs[i, 0]
+        assert lg.regret(g, p, i) == pytest.approx(abs(v1 - v0) * (1.0 - pstar), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -232,27 +238,7 @@ def test_largeness_exhaustive_guard():
 
 
 # ---------------------------------------------------------------------------
-# strategy/payoff states and the plane
-
-def test_strategy_payoff_state_values():
-    g = independent_game(2)
-    p = lg.MixedProfile.from_binary([0.5, 0.5])
-    s = lg.strategy_payoff_state(g, p, 0)
-    assert (s.v1, s.v0, s.p) == (0.7, 0.3, 0.5)
-    assert s.discrepancy == pytest.approx(0.4)
-    assert s.best_response_mass == 0.5
-
-
-def test_state_on_plane_is_best_response_consistent():
-    s = lg.StrategyPayoffState(v1=1.0, v0=0.0, p=1.0)
-    assert s.best_response_mass == pytest.approx((1 + s.discrepancy) / 2)
-    assert lg.plane_product((s.v1, s.v0, s.p)) == pytest.approx(0.5)
-
-
-def test_constant_game_state_has_zero_discrepancy():
-    s = lg.strategy_payoff_state(lg.constant_game(3), lg.MixedProfile.uniform(3, 2), 1)
-    assert s.discrepancy == 0.0
-
+# the plane
 
 @settings(max_examples=60, deadline=None)
 @given(d=st.floats(0.0, 1.0))
@@ -303,6 +289,13 @@ def test_mixed_profile_rejects_non_finite():
         lg.MixedProfile.from_binary([nan, 0.5])
     with pytest.raises(ValueError):
         lg.MixedProfile.from_binary([inf])
+
+
+def test_pure_profile_rejects_actions_out_of_range():
+    assert lg.MixedProfile.pure([1, 0], 2).probs.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    for actions in ([-1, 0], [2, 0]):
+        with pytest.raises(ValueError, match="actions must lie"):
+            lg.MixedProfile.pure(actions, 2)
 
 
 @pytest.mark.parametrize("make", [

@@ -84,7 +84,7 @@ def recorded_estimate(game, profile, beta, seed, chunk):
         return payoffs
 
     session._pure_batch = record
-    return session.sample_mixed_kaction(profile, beta, 0.05), chunks
+    return session.sample_mixed_kaction(profile.probs, beta, 0.05), chunks
 
 
 def assert_same_chunks(got, want):

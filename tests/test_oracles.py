@@ -72,7 +72,7 @@ def test_invalid_parameters_rejected():
     p = lg.MixedProfile.uniform(5, 2)
     for beta, delta in [(0.0, 0.1), (1.0, 0.1), (0.5, 0.0), (0.5, 1.5)]:
         with pytest.raises(ValueError):
-            sess.sample_mixed_binary(p, beta, delta)
+            sess.sample_mixed_binary(p.probs, beta, delta)
 
 
 def test_kaction_blend_reduces_to_binary_at_k2():
@@ -91,7 +91,7 @@ def test_sample_counter_increment_exact():
     g = small_game()
     sess = lg.OracleSession(g, seed=1)
     before = sess.pure_queries
-    est = sess.sample_mixed_binary(lg.MixedProfile.uniform(5, 2), 0.4, 0.2)
+    est = sess.sample_mixed_binary(lg.MixedProfile.uniform(5, 2).probs, 0.4, 0.2)
     spent = sess.pure_queries - before
     assert spent == est.samples == lg.binary_sample_count(0.4, 0.2, 5)
 
@@ -99,18 +99,18 @@ def test_sample_counter_increment_exact():
 def test_sample_determinism():
     g = small_game()
     p = lg.MixedProfile.from_binary([0.1, 0.4, 0.5, 0.8, 1.0])
-    a = lg.OracleSession(g, seed=77).sample_mixed_binary(p, 0.3, 0.1)
-    b = lg.OracleSession(g, seed=77).sample_mixed_binary(p, 0.3, 0.1)
+    a = lg.OracleSession(g, seed=77).sample_mixed_binary(p.probs, 0.3, 0.1)
+    b = lg.OracleSession(g, seed=77).sample_mixed_binary(p.probs, 0.3, 0.1)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.counts, b.counts)
-    c = lg.OracleSession(g, seed=78).sample_mixed_binary(p, 0.3, 0.1)
+    c = lg.OracleSession(g, seed=78).sample_mixed_binary(p.probs, 0.3, 0.1)
     assert not np.array_equal(a.values, c.values)
 
 
 def test_estimate_tracks_blended_profile():
     g = small_game()
     sess = lg.OracleSession(g, seed=11)
-    est = sess.sample_mixed_binary(lg.MixedProfile.uniform(5, 2), 0.1, 0.1)
+    est = sess.sample_mixed_binary(lg.MixedProfile.uniform(5, 2).probs, 0.1, 0.1)
     exact = lg.mixed_payoff_table(g, lg.MixedProfile(est.p_prime))
     assert np.abs(est.values - exact).max() <= 0.1
 
@@ -118,7 +118,7 @@ def test_estimate_tracks_blended_profile():
 def test_unobserved_cells_are_zero():
     g = small_game()
     sess = lg.OracleSession(g, seed=0)
-    est = sess.sample_mixed_binary(lg.MixedProfile.from_binary(np.ones(5)), 0.5, 0.9)
+    est = sess.sample_mixed_binary(lg.MixedProfile.from_binary(np.ones(5)).probs, 0.5, 0.9)
     # blended probability of action 0 is beta/4; some cells may be unseen
     unseen = est.counts == 0
     assert np.all(est.values[unseen] == 0.0)
@@ -127,7 +127,7 @@ def test_unobserved_cells_are_zero():
 def test_kaction_estimate_on_constant_game():
     g = lg.constant_game(3, k=4, value=0.5)
     sess = lg.OracleSession(g, seed=21)
-    est = sess.sample_mixed_kaction(lg.MixedProfile.uniform(3, 4), 0.5, 0.2)
+    est = sess.sample_mixed_kaction(lg.MixedProfile.uniform(3, 4).probs, 0.5, 0.2)
     seen = est.counts > 0
     assert np.all(np.abs(est.values[seen] - 0.5) <= 1e-12)
     assert est.samples == lg.kaction_sample_count(0.5, 0.2, 3, 4)
@@ -139,9 +139,9 @@ def test_estimates_unbiased_for_blend():
     mean = np.zeros((5, 2))
     sessions = 60
     for s in range(sessions):
-        mean += lg.OracleSession(g, seed=1000 + s).sample_mixed_binary(p, 0.4, 0.3).values
+        mean += lg.OracleSession(g, seed=1000 + s).sample_mixed_binary(p.probs, 0.4, 0.3).values
     mean /= sessions
-    est = lg.OracleSession(g, seed=0).sample_mixed_binary(p, 0.4, 0.3)
+    est = lg.OracleSession(g, seed=0).sample_mixed_binary(p.probs, 0.4, 0.3)
     exact = lg.mixed_payoff_table(g, lg.MixedProfile(est.p_prime))
     assert np.abs(mean - exact).max() <= 0.02
 
@@ -152,7 +152,7 @@ def test_estimates_converge_as_beta_shrinks():
     errs = []
     for beta in (0.5, 0.2, 0.1):
         sess = lg.OracleSession(g, seed=13)
-        est = sess.sample_mixed_binary(p, beta, 0.1)
+        est = sess.sample_mixed_binary(p.probs, beta, 0.1)
         exact = lg.mixed_payoff_table(g, lg.MixedProfile(est.p_prime))
         errs.append(np.abs(est.values - exact).max())
         assert errs[-1] <= beta
@@ -166,7 +166,7 @@ def test_exact_mixed_counts_separately():
     g = small_game()
     sess = lg.OracleSession(g, seed=0)
     p = lg.MixedProfile.uniform(5, 2)
-    table = sess.exact_mixed(p)
+    table = sess.exact_mixed(p.probs)
     assert np.allclose(table, lg.mixed_payoff_table(g, p))
     assert sess.qm_calls == 1 and sess.pure_queries == 0
 
@@ -174,9 +174,23 @@ def test_exact_mixed_counts_separately():
 def test_exact_mixed_scales_to_large_n():
     g = lg.gen_linear_influence(1000, 2, 1.0, seed=0)
     sess = lg.OracleSession(g, seed=0)
-    table = sess.exact_mixed(lg.MixedProfile.uniform(1000, 2))
+    table = sess.exact_mixed(lg.MixedProfile.uniform(1000, 2).probs)
     assert table.shape == (1000, 2)
     assert table.min() >= 0.0 and table.max() <= 1.0
+
+
+def test_session_estimates_check_the_profile_shape():
+    sess = lg.OracleSession(small_game(), seed=0)
+    one_player = lg.MixedProfile.uniform(1, 2).probs
+    for estimate in (sess.sample_mixed_binary, sess.sample_mixed_kaction):
+        with pytest.raises(ValueError, match="shape"):
+            estimate(one_player, 0.5, 0.5)
+    with pytest.raises(ValueError, match="shape"):
+        sess.exact_mixed(one_player)
+    kaction = lg.OracleSession(lg.gen_linear_influence(5, 3, 1.0, seed=3), seed=0)
+    with pytest.raises(ValueError, match="shape"):
+        kaction.sample_mixed_kaction(lg.MixedProfile.uniform(5, 2).probs, 0.5, 0.5)
+    assert sess.pure_queries == kaction.pure_queries == 0
 
 
 def test_exact_mixed_needs_capability():
@@ -188,23 +202,11 @@ def test_exact_mixed_needs_capability():
 
     sess = lg.OracleSession(Opaque(), seed=0)
     with pytest.raises(lg.CapabilityError):
-        sess.exact_mixed(lg.MixedProfile.uniform(30, 2))
+        sess.exact_mixed(lg.MixedProfile.uniform(30, 2).probs)
 
 
 # ---------------------------------------------------------------------------
-# uncoupled discipline and tracing
-
-def test_uncoupled_session_reveals_own_payoff_only():
-    g = small_game()
-    sess = lg.OracleSession(g, seed=0, uncoupled=True)
-    with pytest.raises(ValueError):
-        sess.query_pure(np.zeros(5, int))
-    value = sess.query_pure(np.zeros(5, int), player=2)
-    assert isinstance(value, float)
-    assert value == pytest.approx(lg.eval_pure(g, np.zeros(5, int))[2])
-    est = sess.sample_mixed_binary(lg.MixedProfile.uniform(5, 2), 0.5, 0.5)
-    assert est.player_view(1).shape == (2,)
-
+# tracing
 
 def test_trace_records_queries(tmp_path):
     import json
