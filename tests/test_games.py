@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import largegames as lg
+from largegames.binary import plane_residual
 from largegames.games import _enumerated_cell
 
 
@@ -130,12 +131,8 @@ def test_uniform_regret_at_most_half():
 def test_discrepancy_values():
     g = independent_game(2)
     p = lg.MixedProfile.uniform(2, 2)
-    assert lg.mixed_payoff_table(g, p)[0].tolist() == [0.3, 0.7]
     assert lg.discrepancy(g, p, 0) == pytest.approx(0.4, abs=1e-15)
-    # at p = 1/2 the best-response mass is 1/2, so the regret is D / 2
-    assert lg.regret(g, p, 0) == pytest.approx(0.2, abs=1e-15)
     assert lg.discrepancy(lg.constant_game(2), p, 0) == 0.0
-    assert lg.discrepancy(lg.constant_game(3), lg.MixedProfile.uniform(3, 2), 1) == 0.0
     with pytest.raises(ValueError):
         lg.discrepancy(lg.gen_tiny_tensor(2, 3, 1.0, seed=0), lg.MixedProfile.uniform(2, 3), 0)
 
@@ -238,7 +235,31 @@ def test_largeness_exhaustive_guard():
 
 
 # ---------------------------------------------------------------------------
-# the plane
+# strategy/payoff states and the plane
+
+def test_strategy_payoff_state_values():
+    g = independent_game(2)
+    p = lg.MixedProfile.from_binary([0.5, 0.5])
+    v0, v1 = lg.mixed_payoff_table(g, p)[0]
+    assert (v1, v0, p.probs[0, 1]) == (0.7, 0.3, 0.5)
+    assert lg.discrepancy(g, p, 0) == pytest.approx(0.4)
+    # at p = 1/2 the best-response mass is 1/2, so the regret is D / 2
+    assert lg.regret(g, p, 0) == pytest.approx(0.4 * 0.5)
+
+
+def test_state_on_plane_is_best_response_consistent():
+    # (v1, v0, p) = (1, 0, 1): D = 1 and the best-response mass p equals (1 + D) / 2
+    v1, v0, p = 1.0, 0.0, 1.0
+    assert p == pytest.approx((1 + abs(v1 - v0)) / 2)
+    assert plane_residual(v1, v0, p) == pytest.approx(0.0)
+
+
+def test_constant_game_state_has_zero_discrepancy():
+    g = lg.constant_game(3)
+    p = lg.MixedProfile.uniform(3, 2)
+    assert lg.discrepancy(g, p, 1) == 0.0
+    assert lg.regret(g, p, 1) == 0.0
+
 
 @settings(max_examples=60, deadline=None)
 @given(d=st.floats(0.0, 1.0))
