@@ -60,7 +60,6 @@ from .blocks import (
     TruncatedTriangle,
     block_update,
     block_update_bound,
-    brute_force_max_left_sum,
     compare_methods,
     left_sum,
     max_left_sum,

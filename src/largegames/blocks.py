@@ -69,27 +69,6 @@ def max_left_sum(tri: TruncatedTriangle, k: int):
     return b - 1.0 / (2.0 * h) - 1.0 / (2.0 * h * k), partition
 
 
-def brute_force_max_left_sum(tri: TruncatedTriangle, k: int, pitch: float = 1e-3) -> float:
-    """Grid maximization of the k-point left sum by dynamic programming.
-
-    best[i] after m sweeps is the optimum over partitions of [xs[i], base]
-    that place a point at xs[i] and use at most m + 1 points in total.
-    """
-    xs = np.arange(0.0, tri.base + pitch / 2, pitch)
-    heights = tri.height(xs)
-    g = len(xs)
-    closing = heights * (tri.base - xs)  # xs[i] is the rightmost point
-    best = closing.copy()
-    for _ in range(k - 1):
-        nxt = closing.copy()
-        for i in range(g - 1):
-            extended = np.max(heights[i] * (xs[i + 1:] - xs[i]) + best[i + 1:])
-            if extended > nxt[i]:
-                nxt[i] = extended
-        best = nxt
-    return float(max(0.0, best.max()))
-
-
 def block_regret_cap(c: float, blocks: int, t: int) -> float:
     """Ceiling on the final optimality gap of the action block t picked."""
     return min(1.0, 2.0 * c * (blocks - t + 1) / blocks)
@@ -108,6 +87,15 @@ def worst_case_total_regret(regret_values, caps) -> tuple[float, np.ndarray]:
     return float(picks.sum() / n_blocks), picks
 
 
+def _bound_case(c: float, k: int) -> str:
+    """Regime of the block-update bound: small c, the whole triangle, or truncated."""
+    if c <= 0.5:
+        return "small-c"
+    if (k - 1) / k <= 1.0 / (2.0 * c):
+        return "triangle"
+    return "truncated"
+
+
 def block_update_bound(c: float, k: int, blocks: int | None = None,
                        sampling_error: float = 0.0) -> float:
     """Worst-case regret guarantee of block reallocation.
@@ -120,9 +108,8 @@ def block_update_bound(c: float, k: int, blocks: int | None = None,
     if sampling_error < 0:
         raise ValueError("sampling error must be nonnegative")
     horizon = 1.0 + (0.0 if blocks is None else 1.0 / blocks) + sampling_error / (2.0 * c)
-    frac = (k - 1) / k
-    if c <= 0.5 or frac <= 1.0 / (2.0 * c):
-        return c * frac * horizon
+    if _bound_case(c, k) != "truncated":
+        return c * ((k - 1) / k) * horizon
     return (1.0 - 1.0 / (4.0 * c) - 1.0 / (4.0 * c * (k - 1))) * horizon
 
 
@@ -145,14 +132,8 @@ def bound_table(cs, ks, block_counts) -> list[dict]:
     for c in cs:
         for k in ks:
             for blocks in block_counts:
-                if c <= 0.5:
-                    case = "small-c"
-                elif (k - 1) / k <= 1.0 / (2.0 * c):
-                    case = "triangle"
-                else:
-                    case = "truncated"
                 rows.append({"c": float(c), "k": int(k), "N": int(blocks),
-                             "epsilon_case": case,
+                             "epsilon_case": _bound_case(c, k),
                              "epsilon": block_update_bound(c, k, blocks)})
     return rows
 

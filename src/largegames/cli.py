@@ -167,6 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="payoff-query equilibrium experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     default = {key: value for key, (_, value) in runner.PARAMS.items()}
+    beta_help = ("sampling accuracy; exact mode ignores it, and plane, plane-comm and curve "
+                 "default it to their step")
+    delta_help = ("sampling failure probability; exact mode ignores it, and so do plane, "
+                  "plane-comm and curve, which derive delta as eta/rounds")
 
     def add_family(p, c_as_grid=False):
         p.add_argument("--family", default="linear-influence", choices=families.FAMILIES)
@@ -194,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--oracle", default="exact", choices=["exact", "sampling"])
     run.add_argument("--alpha", type=float, default=default["alpha"])
     run.add_argument("--eta", type=float, default=default["eta"])
-    run.add_argument("--beta", type=float, default=None)
-    run.add_argument("--delta", type=float, default=None)
+    run.add_argument("--beta", type=float, default=None, help=beta_help)
+    run.add_argument("--delta", type=float, default=None, help=delta_help)
     run.add_argument("--algo-c", type=float, default=None,
                      help="influence budget c for %s (defaults to the game's)" % ", ".join(
                          name for name, entry in runner.ALGOS.items() if "c" in entry.reads))
@@ -216,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--alpha", type=float, default=default["alpha"])
     sweep.add_argument("--alpha-grid", default=None)
     sweep.add_argument("--eta", type=float, default=default["eta"])
-    sweep.add_argument("--beta", type=float, default=None)
-    sweep.add_argument("--delta", type=float, default=None)
+    sweep.add_argument("--beta", type=float, default=None, help=beta_help)
+    sweep.add_argument("--delta", type=float, default=None, help=delta_help)
     sweep.add_argument("--blocks", type=int, default=default["blocks"])
     sweep.add_argument("--blocks-grid", default=None)
     sweep.add_argument("--n-grid", default=None)

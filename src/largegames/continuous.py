@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game, _payoff_table
+from .games import Game
 from .binary import _banded_rounds, _curve_state, plane_residual
 
 
@@ -79,7 +79,7 @@ def _flow(game: Game, rule, step_h: float, horizon: float, tol: float) -> Trajec
         m = next(rows)
         tr.v[m], tr.p[m], tr.residual[m] = v, p, resid
 
-    est = lambda p_one: _payoff_table(game, np.column_stack([1.0 - p_one, p_one]))
+    est = lambda p_one: game.mixed_payoff_table(np.column_stack([1.0 - p_one, p_one]))
     p = np.full(game.n, 0.5)
     v = est(p)
     p, v_prev = _banded_rounds(est, rule, p, v, v, steps, record)

@@ -123,10 +123,6 @@ class LinearInfluenceGame(Game):
         out += scale * own
         return out
 
-    @property
-    def has_fast_expectation(self) -> bool:
-        return True
-
     def mixed_payoff_table(self, probs: np.ndarray) -> np.ndarray:
         w = self._w
         terms = [w[b] * probs[:, b][:, None, None] for b in range(self.k)]

@@ -101,24 +101,33 @@ class MixedProfile:
 
 
 def as_pure_profile(actions, n: int, k: int) -> np.ndarray:
-    arr = np.asarray(actions, dtype=np.int64)
+    """Check one pure profile where it enters; returns its int64 actions.
+
+    Integer-valued arrays of any dtype pass (the binary draws are 0.0/1.0);
+    non-finite or fractional actions are rejected, not truncated.
+    """
+    arr = np.asarray(actions)
     if arr.shape != (n,):
         raise ValueError(f"profile must have length {n}, got shape {arr.shape}")
+    if arr.dtype.kind not in "biu" and not (
+            arr.dtype.kind == "f" and np.all(np.isfinite(arr) & (arr == np.round(arr)))):
+        raise ValueError("actions must be integers")
     if arr.size and (arr.min() < 0 or arr.max() >= k):
         raise ValueError(f"actions must lie in [0, {k})")
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 class Game(ABC):
     """An n-player, k-action game evaluable on pure profiles.
 
     Subclasses must fill ``n``, ``k``, ``c`` and implement ``payoffs``.
-    Games whose expected payoffs have a closed multilinear form should
-    also implement ``mixed_payoff_table`` and report
-    ``has_fast_expectation = True``; everything else falls back to
-    brute-force enumeration over the opponents' joint support.  The
-    kernel takes a trusted (n, k) probability array: profiles are checked
-    where they enter, by ``MixedProfile`` and the module-level verifiers.
+    The default ``mixed_payoff_table`` enumerates the opponents' joint
+    support; games whose expected payoffs have a closed multilinear form
+    override it with a kernel.  The table takes a trusted (n, k)
+    probability array: profiles are checked where they enter, by
+    ``MixedProfile`` and the module-level verifiers.  Pure queries are
+    answered by ``sample_payoffs_batch``, which games with stochastic
+    utilities override to draw from their payoff distributions.
     """
 
     n: int
@@ -145,12 +154,15 @@ class Game(ABC):
         """
         return np.stack([self.payoffs(row) for row in actions], out=out)
 
-    @property
-    def has_fast_expectation(self) -> bool:
-        return False
+    def sample_payoffs_batch(self, actions: np.ndarray, rng: np.random.Generator,
+                             out: np.ndarray | None = None) -> np.ndarray:
+        """Answers to a (S, n) batch of pure queries: here the payoffs themselves."""
+        return self.payoffs_batch(actions, out=out)
 
     def mixed_payoff_table(self, probs: np.ndarray) -> np.ndarray:
-        raise CapabilityError(f"{type(self).__name__} has no fast expectation path")
+        """Exact table, entry (i, j) = E[u_i(j, a_-i)], by enumeration."""
+        return np.array([[_enumerated_cell(self, probs, i, j) for j in range(self.k)]
+                         for i in range(self.n)])
 
 
 class TensorGame(Game):
@@ -181,10 +193,6 @@ class TensorGame(Game):
             return payoffs.copy()
         out[...] = payoffs
         return out
-
-    @property
-    def has_fast_expectation(self) -> bool:
-        return True
 
     def mixed_payoff_table(self, probs: np.ndarray) -> np.ndarray:
         table = np.empty((self.n, self.k))
@@ -235,10 +243,6 @@ class IndependentGame(Game):
     def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         cell = np.asarray(actions, dtype=np.intp) + np.arange(0, self.n * self.k, self.k)
         return np.take(self.values, cell, out=out)
-
-    @property
-    def has_fast_expectation(self) -> bool:
-        return True
 
     def mixed_payoff_table(self, probs: np.ndarray) -> np.ndarray:
         return self.values.copy()
@@ -291,22 +295,12 @@ def expected_payoff(game: Game, profile: MixedProfile, player: int, action: int)
         raise ValueError("player out of range")
     if not 0 <= action < game.k:
         raise ValueError("action out of range")
-    if game.has_fast_expectation:
-        return float(game.mixed_payoff_table(profile.probs)[player, action])
-    return _enumerated_cell(game, profile.probs, player, action)
-
-
-def _payoff_table(game: Game, probs: np.ndarray) -> np.ndarray:
-    """The exact table at a trusted (n, k) array: the game's kernel, else enumeration."""
-    if game.has_fast_expectation:
-        return game.mixed_payoff_table(probs)
-    return np.array([[_enumerated_cell(game, probs, i, j)
-                      for j in range(game.k)] for i in range(game.n)])
+    return float(game.mixed_payoff_table(profile.probs)[player, action])
 
 
 def mixed_payoff_table(game: Game, profile: MixedProfile) -> np.ndarray:
     """Matrix of expected payoffs, entry (i, j) = E[u_i(j, a_-i)]."""
-    return _payoff_table(game, _check_profile(game, profile).probs)
+    return game.mixed_payoff_table(_check_profile(game, profile).probs)
 
 
 # ---------------------------------------------------------------------------

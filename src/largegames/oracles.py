@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game, _payoff_table
+from .games import Game, as_pure_profile
 
 
 def binary_sample_count(beta: float, delta: float, n: int) -> int:
@@ -65,17 +65,11 @@ class StochasticGame(Game):
         self.kind = kind
         self.n, self.k, self.c = base.n, base.k, base.c
 
-    is_stochastic = True
-
     def payoffs(self, actions) -> np.ndarray:
         return self.base.payoffs(actions)
 
     def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return self.base.payoffs_batch(actions, out=out)
-
-    @property
-    def has_fast_expectation(self) -> bool:
-        return self.base.has_fast_expectation
 
     def mixed_payoff_table(self, probs: np.ndarray) -> np.ndarray:
         return self.base.mixed_payoff_table(probs)
@@ -132,21 +126,13 @@ class OracleSession:
 
     def query_pure(self, actions) -> np.ndarray:
         """One pure-profile query; stochastic games return a fresh draw."""
-        a = np.asarray(actions)
-        if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.round(a))):
-            raise ValueError("actions must be integers")
-        return self._pure_batch(a.astype(np.int64)[None, :])[0]
+        a = as_pure_profile(actions, self.game.n, self.game.k)
+        return self._pure_batch(a[None, :])[0]
 
     def _pure_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Payoffs of a batch of integer-valued action rows, into ``out`` if given."""
-        if actions.ndim != 2 or actions.shape[1] != self.game.n:
-            raise ValueError("batch must have shape (S, n)")
-        if actions.size and (actions.min() < 0 or actions.max() >= self.game.k):
-            raise ValueError("actions out of range")
-        if getattr(self.game, "is_stochastic", False):
-            payoffs = self.game.sample_payoffs_batch(actions, self.rng, out=out)
-        else:
-            payoffs = self.game.payoffs_batch(actions, out=out)
+        """Answers to a (S, n) batch of trusted in-range integer-valued action
+        rows, into ``out`` if given."""
+        payoffs = self.game.sample_payoffs_batch(actions, self.rng, out=out)
         self.pure_queries += actions.shape[0]
         if self._trace is not None:
             start = self.pure_queries - actions.shape[0]
@@ -239,7 +225,7 @@ class OracleSession:
         """Exact expected payoff table u_i(j, p_-i); counted apart from pure queries."""
         self._check_shape(probs)
         self.qm_calls += 1
-        return _payoff_table(self.game, probs)
+        return self.game.mixed_payoff_table(probs)
 
     def close(self):
         if self._trace is not None:

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import largegames as lg
 from largegames.blocks import TruncatedTriangle, block_regret_cap, bound_table
+from references import brute_force_max_left_sum
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +53,7 @@ def test_max_left_sum_against_brute_force():
             for k in (1, 3):
                 tri = TruncatedTriangle(b, h)
                 closed, _ = lg.max_left_sum(tri, k)
-                brute = lg.brute_force_max_left_sum(tri, k, pitch=2e-3)
+                brute = brute_force_max_left_sum(tri, k, pitch=2e-3)
                 assert abs(closed - brute) <= 4e-3
 
 

@@ -40,6 +40,18 @@ def test_eval_pure_rejects_bad_profiles():
         lg.eval_pure(g, [0, 1, 2])
 
 
+def test_pure_profiles_reject_fractional_actions():
+    g = independent_game(3)
+    with pytest.raises(ValueError, match="integers"):
+        lg.eval_pure(g, [1.7, 0, 0])
+    with pytest.raises(ValueError, match="integers"):
+        lg.MixedProfile.pure([0.5, 1], 2)
+    for actions in ([float("nan"), 0, 0], [float("inf"), 0, 0]):
+        with pytest.raises(ValueError, match="integers"):
+            lg.eval_pure(g, actions)
+    assert np.array_equal(lg.eval_pure(g, [1.0, 0.0, 0.0]), lg.eval_pure(g, [1, 0, 0]))
+
+
 # ---------------------------------------------------------------------------
 # expected payoffs
 
@@ -102,6 +114,51 @@ def test_enumeration_guard():
 
     with pytest.raises(lg.CapabilityError):
         lg.expected_payoff(Opaque(), lg.MixedProfile.uniform(30, 2), 0, 0)
+
+
+class Enumerated(lg.Game):
+    """Wraps a game and defines only ``payoffs``, so every exact table enumerates."""
+
+    def __init__(self, inner):
+        self.inner, self.n, self.k, self.c = inner, inner.n, inner.k, inner.c
+
+    def payoffs(self, actions):
+        return self.inner.payoffs(actions)
+
+
+def _every_cell(g, probs):
+    profile = lg.MixedProfile(probs)
+    return np.array([[lg.expected_payoff(g, profile, i, j) for j in range(g.k)]
+                     for i in range(g.n)])
+
+
+def _plane_run(g, probs):
+    profile, report = lg.plane_dynamics(lg.OracleSession(g, seed=0), lg.DynamicsParams(alpha=0.1))
+    return np.append(profile.probs.ravel(), report.max_regret)
+
+
+def _plane_flow(g, probs):
+    tr = lg.simulate_plane_flow(g, step_h=1e-2)
+    return np.concatenate([tr.p.ravel(), tr.v.ravel(), tr.residual.ravel()])
+
+
+@pytest.mark.parametrize("entry", [
+    lambda g, probs: lg.mixed_payoff_table(g, lg.MixedProfile(probs)),
+    _every_cell,
+    lambda g, probs: lg.OracleSession(g, seed=0).exact_mixed(probs),
+    _plane_run,
+    _plane_flow,
+    lambda g, probs: lg.StochasticGame(g).mixed_payoff_table(probs),
+], ids=["mixed_payoff_table", "expected_payoff", "exact_mixed", "plane_dynamics",
+        "simulate_plane_flow", "stochastic_table"])
+def test_game_without_kernel_matches_the_kernel(entry):
+    g = lg.gen_linear_influence(4, 2, 1.0, seed=2)
+    probs = np.random.default_rng(4).random((4, 2)) + 0.05
+    probs /= probs.sum(axis=1, keepdims=True)
+    kernel = entry(g, probs)
+    enumerated = entry(Enumerated(g), probs)
+    assert kernel.shape == enumerated.shape
+    assert np.abs(kernel - enumerated).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
