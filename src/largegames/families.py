@@ -63,6 +63,7 @@ class LinearInfluenceGame(Game):
         self.mu = min(1.0, c * (n - 1) / n)
         # action-0 row sums: the batch path adds per-action differences to them
         self._batch_zero = _readonly(w[0].sum(axis=0))
+        self._binary_consts = None  # k = 2 batch operands, built by the first batch
 
     @property
     def weights(self) -> np.ndarray:
@@ -83,23 +84,16 @@ class LinearInfluenceGame(Game):
         if k == 2:
             x = np.asarray(actions, dtype=np.float64)  # float 0/1 rows pass without a copy
             # g_j[s, i] = sum_l w[i, l, j, a_sl]; d[j, l, i] = w[i, l, j, 1] - w[i, l, j, 0]
-            d = np.ascontiguousarray((w[1] - w[0]).transpose(2, 0, 1))
+            d, tiles = self._binary_constants(x.shape[0])
+            # Both GEMMs keep these shapes, whole batch by (n, n): OpenBLAS picks its
+            # kernel and summation order by shape, so a bias column or a split of
+            # the rows would change low bits of the payoffs.
             own = np.matmul(x, d[0], out=out)
-            own += self._batch_zero[:, 0]  # g0
             tmp = x @ d[1]
-            tmp += self._batch_zero[:, 1]  # g1
-            tmp -= own
-            tmp *= x
-            own += tmp  # g0 + x (g1 - g0)
-            own *= scale
-            # (1 - mu) base_i(a_si) takes one of two values per player; with finite
-            # base payoffs exactly one of x t1 and (1 - x) t0 is nonzero, so adding
-            # both gives the bits of (1 - mu) (b0 + x (b1 - b0)).
-            b0, b1 = self.base[:, 0], self.base[:, 1]
-            t0 = b0 * (1.0 - self.mu)
-            t1 = (b0 + (b1 - b0)) * (1.0 - self.mu)
-            own += np.multiply(x, t1, out=tmp)
-            own += np.multiply(np.subtract(1.0, x, out=tmp), t0, out=tmp)
+            rows = tiles.shape[1]
+            for lo in range(0, x.shape[0], rows):
+                block = slice(lo, lo + rows)
+                self._combine_binary(x[block], own[block], tmp[block], tiles, scale)
             return own
         # received[s, i, j] = sum_l w[i, l, j, a_sl] - w[i, l, j, 0] sums one (s, n k)
         # GEMM per action b > 0.  Only the entries (s, i, a_si) are read, at flat
@@ -122,6 +116,52 @@ class LinearInfluenceGame(Game):
         out *= 1.0 - self.mu
         out += scale * own
         return out
+
+    # Height of the k = 2 constant tiles, one sampling chunk; taller batches are
+    # combined in blocks of this many rows, so the tiles stay this small.
+    _TILE_ROWS = 4096
+
+    def _binary_constants(self, m: int):
+        """The k = 2 operands of an m-row batch: the contiguous GEMM operand d
+        and (4, rows, n) tiles of g0, g1, b0 and b1 - b0, rows >= min(m, 4096).
+
+        numpy runs an elementwise op that broadcasts an (n,) vector over a
+        chunk one row at a time, so the per-player constants come as
+        chunk-shaped tiles.  They are built by the first batch and rebuilt only
+        for a taller one; both arrays are read-only and replaced in one
+        assignment, so threads that race here build equal arrays and each
+        computes with its own.
+        """
+        consts = self._binary_consts
+        rows = min(max(m, 1), self._TILE_ROWS)
+        if consts is not None and consts[1].shape[1] >= rows:
+            return consts
+        w = self._w
+        d = np.ascontiguousarray((w[1] - w[0]).transpose(2, 0, 1))
+        d.setflags(write=False)
+        b0, b1 = self.base[:, 0], self.base[:, 1]
+        tiles = np.empty((4, rows, self.n))
+        for tile, value in zip(tiles, (*self._batch_zero.T, b0, b1 - b0)):
+            tile[...] = value
+        tiles.setflags(write=False)
+        self._binary_consts = consts = (d, tiles)
+        return consts
+
+    def _combine_binary(self, x, own, tmp, tiles, scale):
+        """Turn own = x d[0] and tmp = x d[1] into the payoffs, in place:
+        scale (g0 + x (g1 - g0)) + (1 - mu) (b0 + x (b1 - b0))."""
+        g0, g1, b0, db = tiles[:, :x.shape[0]]
+        own += g0
+        tmp += g1
+        tmp -= own
+        tmp *= x
+        own += tmp
+        own *= scale
+        # x is 0 or 1, so x (b1 - b0) + b0 is exactly b0 or b0 + (b1 - b0)
+        base = np.multiply(x, db, out=tmp)
+        base += b0
+        base *= 1.0 - self.mu
+        own += base
 
     def mixed_payoff_table(self, probs: np.ndarray) -> np.ndarray:
         w = self._w

@@ -9,7 +9,12 @@ well-supported NE, largeness) that every algorithm in the package is
 tested against.
 
 All types are immutable after construction and every operation is pure,
-so values can be shared freely across threads.
+so values can be shared freely across threads.  The one exception is
+the derived arrays a game builds lazily on first use (the k = 2 batch
+operands of ``LinearInfluenceGame``): they are read-only, computed only
+from the immutable fields and published by a single attribute
+assignment, so two threads that race there build equal arrays twice and
+each computes with its own.
 """
 
 from __future__ import annotations

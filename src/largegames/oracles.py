@@ -192,6 +192,8 @@ class OracleSession:
         n, k = self.game.n, self.game.k
         counts = np.zeros((n, k))
         sums = np.zeros((n, k))
+        if k == 2:
+            row_ones = np.ones(min(self._CHUNK, n_queries))
         done = 0
         while done < n_queries:
             m = min(self._CHUNK, n_queries - done)
@@ -199,11 +201,12 @@ class OracleSession:
             payoffs = self._pure_batch(
                 actions, None if payoff_buffer is None else payoff_buffer[:m])
             if k == 2:
-                # einsum adds the rows in the order of sum(axis=0) without its
-                # per-row inner loops.  It sums int8 rows in int8, so the counts
-                # come from float rows (the binary draw's own, or a converted copy).
+                # einsum adds the payoff rows in the order of sum(axis=0) without
+                # its per-row inner loops.  The counts are sums of 0.0/1.0, exact in
+                # any order, so a GEMV gives them.  Both read float rows (the binary
+                # draw's own, or a converted copy): einsum sums int8 rows in int8.
                 x = np.asarray(actions, dtype=np.float64)
-                ones = np.einsum("sn->n", x)
+                ones = row_ones[:m] @ x
                 counts[:, 1] += ones
                 counts[:, 0] += m - ones
                 paid_ones = np.einsum("sn,sn->n", payoffs, x)

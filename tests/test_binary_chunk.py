@@ -5,11 +5,13 @@ binary sampling chunk: the draw cast its comparisons to int8, the k = 2
 ``LinearInfluenceGame.payoffs_batch`` converted those rows to float and
 kept its temporaries apart, the other games indexed with the int8 rows,
 and the reduction summed over axis 0.  The fast code draws 0.0/1.0 rows
-into session buffers, evaluates in place and reduces with einsum; it must
-agree with the references bit for bit.
+into session buffers, evaluates in place against chunk-shaped constants
+and reduces with einsum and a GEMV; it must agree with the references bit
+for bit.
 """
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -256,3 +258,56 @@ def test_trace_lines_carry_integer_profiles(monkeypatch, tmp_path):
         assert all(type(v) is int for v in rec["profile"])
         assert rec["profile"] == a.tolist()
         assert rec["payoffs"] == u.tolist()
+
+
+def test_constant_tiles_follow_the_batch_height():
+    game = lg.gen_linear_influence(10, 2, 1.0, seed=3)
+    assert game._binary_consts is None  # exact-only games never build them
+    game.mixed_payoff_table(lg.MixedProfile.uniform(10).probs)
+    assert game._binary_consts is None
+    rng = np.random.default_rng(5)
+    for rows in (1, 17, 4096, 5000):
+        a = rng.integers(0, 2, size=(rows, 10)).astype(np.int8)
+        fresh = lg.gen_linear_influence(10, 2, 1.0, seed=3)
+        got = game.payoffs_batch(a.astype(np.float64))
+        assert np.array_equal(got, fresh.payoffs_batch(a.astype(np.float64)))
+        assert np.array_equal(got, linear_payoffs(game, a))
+        d, tiles = game._binary_consts
+        # taller batches than a sampling chunk are combined in chunk-high blocks
+        assert tiles.shape == (4, min(rows, LinearInfluenceGame._TILE_ROWS), 10)
+    assert not d.flags.writeable and not tiles.flags.writeable
+
+
+def test_threads_sharing_a_fresh_game_reproduce_sequential_payoffs():
+    rng = np.random.default_rng(8)
+    batches = [rng.integers(0, 2, size=(rows, 7)).astype(np.float64)
+               for rows in (4096, 1, 5000, 17, 4096, 300, 8192, 2)]
+    want = [lg.gen_linear_influence(7, 2, 1.0, seed=9).payoffs_batch(a) for a in batches]
+    for _ in range(5):  # each round races two first builds on a fresh game
+        game = lg.gen_linear_influence(7, 2, 1.0, seed=9)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(game.payoffs_batch, batches))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("method", ("sample_mixed_binary", "sample_mixed_kaction"))
+def test_counts_equal_integer_sums_of_the_actions(monkeypatch, method, chunk):
+    rows = chunk + chunk // 2 + 1
+    monkeypatch.setattr(oracles, "binary_sample_count", lambda *args: rows)
+    monkeypatch.setattr(oracles, "kaction_sample_count", lambda *args: rows)
+    game = lg.gen_linear_influence(7, 2, 1.0, seed=2)
+    session = lg.OracleSession(game, seed=4)
+    session._CHUNK = chunk
+    drawn = []
+    pure_batch = session._pure_batch
+
+    def record(actions, out=None):
+        drawn.append(actions.copy())
+        return pure_batch(actions, out)
+
+    session._pure_batch = record
+    est = getattr(session, method)(random_profile(7, 6).probs, 0.3, 0.05)
+    ones = np.concatenate(drawn).sum(axis=0, dtype=np.int64)
+    assert np.array_equal(est.counts[:, 1], ones)
+    assert np.array_equal(est.counts[:, 0], rows - ones)

@@ -1,5 +1,6 @@
 import json
 import re
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -297,3 +298,27 @@ def test_verify_reports_regret(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert code == 1
     assert out["max_regret"] == pytest.approx(0.2)
+
+
+def _compare_methods(monkeypatch, capsys, *args):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "compare_methods.py"
+    monkeypatch.setattr("sys.argv", [str(script), *args])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    return exit_info.value.code, capsys.readouterr()
+
+
+def test_compare_methods_prints_the_bounds_its_runs_are_held_to(monkeypatch, capsys):
+    code, out = _compare_methods(monkeypatch, capsys, "--seeds", "1", "--n", "8",
+                                 "--c", "0.5", "--alpha", "0.05", "--blocks", "10")
+    assert code == 0
+    row = out.out.splitlines()[1].split(",")
+    assert float(row[1]) == lg.curve_regret_bound(0.5, 0.05)
+    assert float(row[2]) == lg.block_update_bound(0.5, 2, 10)
+
+
+def test_compare_methods_exits_1_when_a_regret_exceeds_its_bound(monkeypatch, capsys):
+    monkeypatch.setattr(lg, "curve_regret_bound", lambda c, alpha=0.0: 0.0)
+    code, out = _compare_methods(monkeypatch, capsys, "--seeds", "1", "--n", "8", "--c", "1")
+    assert code == 1
+    assert out.err.startswith("error: curve regret")
