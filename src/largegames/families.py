@@ -9,6 +9,7 @@ scales to large player counts.
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 
@@ -64,6 +65,8 @@ class LinearInfluenceGame(Game):
         # action-0 row sums: the batch path adds per-action differences to them
         self._batch_zero = _readonly(w[0].sum(axis=0))
         self._binary_consts = None  # k = 2 batch operands, built by the first batch
+        self._kaction_consts = None  # k > 2 batch operands, likewise
+        self._scratch = threading.local()  # per-thread k > 2 batch buffers
 
     @property
     def weights(self) -> np.ndarray:
@@ -80,7 +83,6 @@ class LinearInfluenceGame(Game):
     def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         n, k = self.n, self.k
         scale = self.mu / (n - 1)
-        w = self._w
         if k == 2:
             x = np.asarray(actions, dtype=np.float64)  # float 0/1 rows pass without a copy
             # g_j[s, i] = sum_l w[i, l, j, a_sl]; d[j, l, i] = w[i, l, j, 1] - w[i, l, j, 0]
@@ -97,25 +99,37 @@ class LinearInfluenceGame(Game):
             return own
         # received[s, i, j] = sum_l w[i, l, j, a_sl] - w[i, l, j, 0] sums one (s, n k)
         # GEMM per action b > 0.  Only the entries (s, i, a_si) are read, at flat
-        # indices idx; adding them in b order equals summing the whole products first.
-        # One product is alive at a time: with two, malloc returns their pages to the
-        # system after every call and page-faults them in again on the next.
-        s = actions.shape[0]
-        idx = np.arange(0, s * n * k, k).reshape(s, n)
-        idx += actions
-        x = np.empty(actions.shape)
+        # indices s n k + i k + a_si; adding them in b order equals summing the whole
+        # products first.  Every buffer is reused: with products allocated per call,
+        # malloc returns their pages to the system and page-faults them in again.
+        # The gathers run in clip mode, which writes straight into its output (raise
+        # mode copies it first); actions are checked against [0, k) where they enter.
+        m = actions.shape[0]
+        d, tiles, base = self._kaction_constants(m)
+        rows = tiles.shape[1]
+        x, prod, idx = self._kaction_scratch(m, rows)
+        own = np.empty((m, n)) if out is None else out
+        blocks = [slice(lo, lo + rows) for lo in range(0, m, rows)]
+        np.copyto(idx, actions)  # a cast copy, then an add without a cast buffer
+        for block in blocks:  # flat indices, counted from the first row of the block
+            flat = idx[block]
+            flat += tiles[0, :flat.shape[0]]
         for b in range(1, k):
             np.equal(actions, b, out=x)
-            if b == 1:
-                own = (x @ (w[1] - w[0]).reshape(n, n * k)).take(idx)
-            else:
-                own += (x @ (w[b] - w[0]).reshape(n, n * k)).take(idx, out=x)
-        cell = actions + np.arange(0, n * k, k)  # (i, a_si) in the (n, k) arrays
-        own += self._batch_zero.ravel()[cell]
-        out = np.take(self.base, cell, out=out)
-        out *= 1.0 - self.mu
-        out += scale * own
-        return out
+            np.matmul(x, d[b - 1], out=prod)  # whole batch, for the bits (see k = 2)
+            for block in blocks:
+                got = own[block]
+                if b == 1:
+                    np.take(prod[block], idx[block], out=got, mode="clip")
+                else:
+                    got += np.take(prod[block], idx[block], out=x[block], mode="clip")
+        for block in blocks:
+            cell, got, tmp = idx[block], own[block], x[block]
+            cell -= tiles[1, :cell.shape[0]]  # i k + a_si: cell (i, a_si) of the (n, k) arrays
+            got += np.take(self._batch_zero, cell, out=tmp, mode="clip")
+            got *= scale
+            got += np.take(base, cell, out=tmp, mode="clip")
+        return own
 
     # Height of the k = 2 constant tiles, one sampling chunk; taller batches are
     # combined in blocks of this many rows, so the tiles stay this small.
@@ -146,6 +160,45 @@ class LinearInfluenceGame(Game):
         tiles.setflags(write=False)
         self._binary_consts = consts = (d, tiles)
         return consts
+
+    def _kaction_constants(self, m: int):
+        """The k > 2 operands of an m-row batch: the stacked GEMM operands
+        d[b - 1] = (w[b] - w[0]) as (n, n k), (2, rows, n) index tiles of the
+        flat product offsets s n k + i k and the row offsets s n k, rows >=
+        min(m, 4096), and (1 - mu) base flattened.  Built, rebuilt and shared
+        across threads like the k = 2 operands of ``_binary_constants``.
+        """
+        consts = self._kaction_consts
+        rows = min(max(m, 1), self._TILE_ROWS)
+        if consts is not None and consts[1].shape[1] >= rows:
+            return consts
+        n, k = self.n, self.k
+        d = (self._w[1:] - self._w[0]).reshape(k - 1, n, n * k)
+        tiles = np.empty((2, rows, n), dtype=np.intp)
+        tiles[1] = np.arange(0, rows * n * k, n * k)[:, None]
+        np.add(tiles[1], np.arange(0, n * k, k), out=tiles[0])
+        base = ((1.0 - self.mu) * self.base).ravel()
+        for arr in (d, tiles, base):
+            arr.setflags(write=False)
+        self._kaction_consts = consts = (d, tiles, base)
+        return consts
+
+    def _kaction_scratch(self, m: int, rows: int):
+        """This thread's (mask, product, index) buffers for an m-row k > 2 batch.
+
+        Each thread owns buffers of the tile height, so threads can share a
+        game.  A batch taller than the tiles gets new buffers, because its GEMMs
+        keep their whole-batch shape; it is gathered block by block.
+        """
+        n, k = self.n, self.k
+        if m > rows:
+            return np.empty((m, n)), np.empty((m, n * k)), np.empty((m, n), dtype=np.intp)
+        scratch = getattr(self._scratch, "kaction", None)
+        if scratch is None or scratch[2].shape[0] < rows:
+            scratch = (np.empty((rows, n)), np.empty((rows, n * k)),
+                       np.empty((rows, n), dtype=np.intp))
+            self._scratch.kaction = scratch
+        return tuple(buf[:m] for buf in scratch)
 
     def _combine_binary(self, x, own, tmp, tiles, scale):
         """Turn own = x d[0] and tmp = x d[1] into the payoffs, in place:

@@ -9,12 +9,17 @@ well-supported NE, largeness) that every algorithm in the package is
 tested against.
 
 All types are immutable after construction and every operation is pure,
-so values can be shared freely across threads.  The one exception is
-the derived arrays a game builds lazily on first use (the k = 2 batch
-operands of ``LinearInfluenceGame``): they are read-only, computed only
-from the immutable fields and published by a single attribute
-assignment, so two threads that race there build equal arrays twice and
-each computes with its own.
+so values can be shared freely across threads.  There are two
+exceptions, both in ``LinearInfluenceGame``'s batch evaluation:
+
+- the derived arrays a game builds lazily on first use: the k = 2 batch
+  operands, and the k > 2 stacked GEMM operands, index tiles and scaled
+  base payoffs.  They are read-only, computed only from the immutable
+  fields and published by a single attribute assignment, so two threads
+  that race there build equal arrays twice and each computes with its own;
+- the k > 2 kernel's scratch buffers (mask, product, index), which are
+  held per thread in a ``threading.local``, so each thread writes only
+  its own.
 """
 
 from __future__ import annotations

@@ -116,6 +116,7 @@ class OracleSession:
         self.qm_calls = 0
         self._trace = open(trace_path, "w") if trace_path else None
         self._binary_chunk = None  # (actions, payoffs, p_one rows): binary sampling buffers
+        self._kaction_chunk = None  # k-action sampling buffers, see _kaction_buffers
 
     def _check_shape(self, probs: np.ndarray):
         shape = (self.game.n, self.game.k)
@@ -170,25 +171,51 @@ class OracleSession:
         return self._estimate_from_queries(n_queries, draw, p_prime, beta, delta, payoffs)
 
     def sample_mixed_kaction(self, probs: np.ndarray, beta: float, delta: float) -> MixedEstimate:
-        if self.game.k < 2:
+        n, k = self.game.n, self.game.k
+        if k < 2:
             raise ValueError("need at least two actions")
         self._check_shape(probs)
-        n_queries = kaction_sample_count(beta, delta, self.game.n, self.game.k)
+        n_queries = kaction_sample_count(beta, delta, n, k)
         p_prime = blend_kaction(probs, beta)
-        cdf = np.cumsum(p_prime, axis=1)
+        if self._kaction_chunk is None:
+            self._kaction_chunk = self._kaction_buffers()
+        u, cdf, payoffs, actions, mask, offsets, index = self._kaction_chunk
+        cdf[...] = np.cumsum(p_prime, axis=1).T[:-1, None, :]  # chunk-shaped, as for binary
 
         def draw(m):
             # action = how many of the first k - 1 cdf entries the uniform draw exceeds
-            draws = self.rng.random((m, self.game.n))
-            actions = np.zeros(draws.shape, dtype=np.int8)
-            for j in range(self.game.k - 1):
-                actions += draws > cdf[:, j]
-            return actions
+            x = self.rng.random(out=u[:m])
+            if k == 2:  # 0.0/1.0 rows in place, as the binary draw leaves them
+                return np.greater(x, cdf[0, :m], out=x)
+            a = np.greater(x, cdf[0, :m], out=actions[:m])
+            for j in range(1, k - 1):
+                a += np.greater(x, cdf[j, :m], out=mask[:m])
+            return a
 
-        return self._estimate_from_queries(n_queries, draw, p_prime, beta, delta)
+        return self._estimate_from_queries(n_queries, draw, p_prime, beta, delta, payoffs,
+                                           (offsets, index))
 
-    def _estimate_from_queries(self, n_queries, draw, p_prime, beta, delta,
-                               payoff_buffer=None) -> MixedEstimate:
+    def _kaction_buffers(self):
+        """Chunk buffers of ``sample_mixed_kaction``: uniforms, cdf tiles and
+        payoffs, and for k > 2 the int8 actions, the comparison mask, and the
+        cell offsets i k and flat cell index of the reduction (None for k = 2)."""
+        n, k = self.game.n, self.game.k
+        shape = (self._CHUNK, n)
+        buffers = (np.empty(shape), np.empty((k - 1,) + shape), np.empty(shape))
+        if k == 2:
+            return buffers + (None,) * 4
+        offsets = np.empty(shape, dtype=np.intp)
+        offsets[...] = np.arange(0, n * k, k)
+        return buffers + (np.empty(shape, dtype=np.int8), np.empty(shape, dtype=np.bool_),
+                          offsets, np.empty(shape, dtype=np.intp))
+
+    def _estimate_from_queries(self, n_queries, draw, p_prime, beta, delta, payoff_buffer,
+                               cells=None) -> MixedEstimate:
+        """Draw, answer and reduce ``n_queries`` pure queries chunk by chunk.
+
+        ``payoff_buffer`` holds one chunk of answers; for k > 2, ``cells`` is the
+        (offsets, index) pair of (chunk, n) int arrays the cell indices go through.
+        """
         n, k = self.game.n, self.game.k
         counts = np.zeros((n, k))
         sums = np.zeros((n, k))
@@ -198,25 +225,27 @@ class OracleSession:
         while done < n_queries:
             m = min(self._CHUNK, n_queries - done)
             actions = draw(m)
-            payoffs = self._pure_batch(
-                actions, None if payoff_buffer is None else payoff_buffer[:m])
+            payoffs = self._pure_batch(actions, payoff_buffer[:m])
             if k == 2:
                 # einsum adds the payoff rows in the order of sum(axis=0) without
                 # its per-row inner loops.  The counts are sums of 0.0/1.0, exact in
-                # any order, so a GEMV gives them.  Both read float rows (the binary
-                # draw's own, or a converted copy): einsum sums int8 rows in int8.
-                x = np.asarray(actions, dtype=np.float64)
-                ones = row_ones[:m] @ x
+                # any order, so a GEMV gives them.  Both read the draws' float rows:
+                # einsum would sum int8 rows in int8.
+                ones = row_ones[:m] @ actions
                 counts[:, 1] += ones
                 counts[:, 0] += m - ones
-                paid_ones = np.einsum("sn,sn->n", payoffs, x)
+                paid_ones = np.einsum("sn,sn->n", payoffs, actions)
                 sums[:, 1] += paid_ones
                 sums[:, 0] += np.einsum("sn->n", payoffs) - paid_ones
             else:
                 # flat index of cell (i, a_si); bincount adds each cell's payoffs in row order
-                cell = (actions + np.arange(0, n * k, k)).ravel()
-                counts += np.bincount(cell, minlength=n * k).reshape(n, k)
-                sums += np.bincount(cell, weights=payoffs.ravel(), minlength=n * k).reshape(n, k)
+                offsets, index = cells
+                cell = index[:m]
+                np.copyto(cell, actions)  # a cast copy, then an add without a cast buffer
+                cell += offsets[:m]
+                counts += np.bincount(cell.ravel(), minlength=n * k).reshape(n, k)
+                sums += np.bincount(cell.ravel(), weights=payoffs.ravel(),
+                                    minlength=n * k).reshape(n, k)
             done += m
         values = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0)
         return MixedEstimate(values=values, samples=n_queries, beta=beta,

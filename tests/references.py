@@ -24,3 +24,31 @@ def brute_force_max_left_sum(tri: TruncatedTriangle, k: int, pitch: float = 1e-3
                 nxt[i] = extended
         best = nxt
     return float(max(0.0, best.max()))
+
+
+def linear_payoffs(game, actions):
+    """k = 2 linear-influence payoffs of int8 rows as the former batch code computed them."""
+    n, w = game.n, game._w
+    x = actions.astype(np.float64)
+    d = np.ascontiguousarray((w[1] - w[0]).transpose(2, 0, 1))
+    g0 = x @ d[0]
+    g0 += game._batch_zero[:, 0]
+    g1 = x @ d[1]
+    g1 += game._batch_zero[:, 1]
+    own = g0
+    own += x * (g1 - g0)
+    out = game.base[:, 0] + x * (game.base[:, 1] - game.base[:, 0])
+    out *= 1.0 - game.mu
+    out += game.mu / (n - 1) * own
+    return out
+
+
+def reference_reduce(actions, payoffs, counts, sums):
+    """Add one chunk of int8 k = 2 rows to the per-cell counts and sums, as the former
+    reduction did."""
+    ones = actions.sum(axis=0, dtype=np.int64)
+    counts[:, 1] += ones
+    counts[:, 0] += actions.shape[0] - ones
+    paid_ones = (payoffs * actions).sum(axis=0)
+    sums[:, 1] += paid_ones
+    sums[:, 0] += payoffs.sum(axis=0) - paid_ones

@@ -11,6 +11,7 @@ for bit.
 """
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -20,6 +21,7 @@ import largegames as lg
 from largegames import oracles
 from largegames.families import LinearInfluenceGame
 from largegames.games import IndependentGame, TensorGame
+from references import linear_payoffs, reference_reduce
 
 NS = (2, 7, 10, 20, 100)
 CHUNKS = (1, 17, 4096)
@@ -27,22 +29,6 @@ CHUNKS = (1, 17, 4096)
 
 def int8_draw(rng, m, p_one):
     return (rng.random((m, p_one.shape[0])) < p_one).astype(np.int8)
-
-
-def linear_payoffs(game, actions):
-    n, w = game.n, game._w
-    x = actions.astype(np.float64)
-    d = np.ascontiguousarray((w[1] - w[0]).transpose(2, 0, 1))
-    g0 = x @ d[0]
-    g0 += game._batch_zero[:, 0]
-    g1 = x @ d[1]
-    g1 += game._batch_zero[:, 1]
-    own = g0
-    own += x * (g1 - g0)
-    out = game.base[:, 0] + x * (game.base[:, 1] - game.base[:, 0])
-    out *= 1.0 - game.mu
-    out += game.mu / (n - 1) * own
-    return out
 
 
 def reference_payoffs(game, actions, rng=None):
@@ -57,15 +43,6 @@ def reference_payoffs(game, actions, rng=None):
     assert isinstance(game, TensorGame)
     idx = tuple(actions[:, j] for j in range(game.n))
     return game.tensor[(slice(None), *idx)].T.copy()
-
-
-def reference_reduce(actions, payoffs, counts, sums):
-    ones = actions.sum(axis=0, dtype=np.int64)
-    counts[:, 1] += ones
-    counts[:, 0] += actions.shape[0] - ones
-    paid_ones = (payoffs * actions).sum(axis=0)
-    sums[:, 1] += paid_ones
-    sums[:, 0] += payoffs.sum(axis=0) - paid_ones
 
 
 def random_profile(n, seed):
@@ -279,15 +256,23 @@ def test_constant_tiles_follow_the_batch_height():
 
 
 def test_threads_sharing_a_fresh_game_reproduce_sequential_payoffs():
-    rng = np.random.default_rng(8)
-    batches = [rng.integers(0, 2, size=(rows, 7)).astype(np.float64)
-               for rows in (4096, 1, 5000, 17, 4096, 300, 8192, 2)]
-    want = [lg.gen_linear_influence(7, 2, 1.0, seed=9).payoffs_batch(a) for a in batches]
-    for _ in range(5):  # each round races two first builds on a fresh game
-        game = lg.gen_linear_influence(7, 2, 1.0, seed=9)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            got = list(pool.map(game.payoffs_batch, batches))
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # k = 2 races the constant tiles; k = 3 also the per-thread scratch
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-kernel
+    try:
+        for k, dtype in ((2, np.float64), (3, np.int8)):
+            rng = np.random.default_rng(8)
+            batches = [rng.integers(0, k, size=(rows, 7)).astype(dtype)
+                       for rows in (4096, 1, 5000, 17, 4096, 300, 8192, 2)]
+            want = [lg.gen_linear_influence(7, k, 1.0, seed=9).payoffs_batch(a)
+                    for a in batches]
+            for _ in range(5):  # each round races the first builds on a fresh game
+                game = lg.gen_linear_influence(7, k, 1.0, seed=9)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    got = list(pool.map(game.payoffs_batch, batches, timeout=60))
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)

@@ -2,17 +2,22 @@
 
 Each reference below is the former implementation of one stage of a
 k > 2 sampling chunk: the draw built a (rows, n, k - 1) comparison array,
-``payoffs_batch`` and the reduction made one mask pass per action.  The
-fast code must agree with them bit for bit.
+``payoffs_batch`` and the reduction made one mask pass per action.  A
+k = 2 game sampled through ``sample_mixed_kaction`` is evaluated and
+reduced by the binary code, so its references are the binary ones.  The
+fast code draws into session buffers and must agree with them bit for bit.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import largegames as lg
 from largegames import oracles
+from references import linear_payoffs, reference_reduce
 
-KS = (3, 4, 5, 6, 7)
+KS = (2, 3, 4, 5, 6, 7)
 NS = (2, 7, 20, 100)
 CHUNKS = (1, 17, 4096)
 
@@ -22,6 +27,8 @@ def mask_draw(u, cdf):
 
 
 def mask_payoffs(game, actions):
+    if game.k == 2:
+        return linear_payoffs(game, actions)
     n, k, w = game.n, game.k, game._w
     s = actions.shape[0]
     flat = None
@@ -41,6 +48,8 @@ def mask_payoffs(game, actions):
 
 
 def mask_reduce(actions, payoffs, k, counts, sums):
+    if k == 2:
+        return reference_reduce(actions, payoffs, counts, sums)
     for j in range(k):
         mask = actions == j
         counts[:, j] += mask.sum(axis=0)
@@ -72,7 +81,7 @@ def reference_estimate(game, profile, beta, seed, rows, chunk):
 
 
 def recorded_estimate(game, profile, beta, seed, chunk):
-    """Run ``sample_mixed_kaction`` and keep every chunk's actions and payoffs."""
+    """Run ``sample_mixed_kaction``, keeping a copy of every chunk's actions and payoffs."""
     session = lg.OracleSession(game, seed=seed)
     session._CHUNK = chunk
     chunks = []
@@ -80,17 +89,18 @@ def recorded_estimate(game, profile, beta, seed, chunk):
 
     def record(actions, out=None):
         payoffs = pure_batch(actions, out)
-        chunks.append((actions, payoffs))
+        chunks.append((actions.copy(), payoffs.copy()))  # the buffers are reused
         return payoffs
 
     session._pure_batch = record
     return session.sample_mixed_kaction(profile.probs, beta, 0.05), chunks
 
 
-def assert_same_chunks(got, want):
+def assert_same_chunks(got, want, k):
     assert len(got) == len(want)
     for (a, u), (ref_a, ref_u) in zip(got, want):
-        assert a.dtype == ref_a.dtype
+        # k = 2 rows are 0.0/1.0 floats, as the binary draw leaves them
+        assert a.dtype == (np.float64 if k == 2 else np.int8)
         assert np.array_equal(a, ref_a)
         assert np.array_equal(u, ref_u)
 
@@ -116,7 +126,7 @@ def test_sampling_chunk_matches_mask_reference(monkeypatch, k, n, chunk):
     profile = random_profile(n, k, seed=k)
     est, chunks = recorded_estimate(game, profile, 0.3, 7, chunk)
     ref_chunks, ref_counts, ref_values = reference_estimate(game, profile, 0.3, 7, rows, chunk)
-    assert_same_chunks(chunks, ref_chunks)
+    assert_same_chunks(chunks, ref_chunks, game.k)
     assert np.array_equal(est.counts, ref_counts)
     assert np.array_equal(est.values, ref_values)
     assert np.all(est.counts.sum(axis=1) == rows)
@@ -131,7 +141,41 @@ def test_whole_estimate_with_partial_last_chunk_matches_mask_reference():
     assert est.samples % lg.OracleSession._CHUNK != 0
     ref_chunks, ref_counts, ref_values = reference_estimate(
         game, profile, 0.3, 2, est.samples, lg.OracleSession._CHUNK)
-    assert_same_chunks(chunks, ref_chunks)
+    assert_same_chunks(chunks, ref_chunks, game.k)
     assert np.array_equal(est.counts, ref_counts)
     assert np.array_equal(est.values, ref_values)
     assert np.all(est.counts.sum(axis=1) == est.samples)
+
+
+def chunk_buffers(session):
+    return [buf for buf in session._kaction_chunk if buf is not None]
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_session_reuses_its_buffers_across_estimates(k):
+    game = lg.gen_linear_influence(6, k, 1.0, seed=0)
+    session = lg.OracleSession(game, seed=0)
+    first = session.sample_mixed_kaction(lg.MixedProfile.uniform(6, k).probs, 0.5, 0.5)
+    buffers = chunk_buffers(session)
+    consts = game._binary_consts if k == 2 else game._kaction_consts
+    second = session.sample_mixed_kaction(random_profile(6, k, seed=2).probs, 0.5, 0.5)
+    assert all(a is b for a, b in zip(chunk_buffers(session), buffers))
+    assert (game._binary_consts if k == 2 else game._kaction_consts) is consts
+    # estimates hold their own arrays, not views of the buffers
+    assert not any(np.shares_memory(arr, buf) for buf in buffers
+                   for est in (first, second) for arr in (est.values, est.counts, est.p_prime))
+
+
+def test_second_estimate_allocates_less_than_one_int8_chunk():
+    game = lg.gen_linear_influence(10, 3, 1.0, seed=4)
+    session = lg.OracleSession(game, seed=2)
+    probs = random_profile(10, 3, seed=1).probs
+    session.sample_mixed_kaction(probs, 0.3, 0.05)  # builds the buffers and constants
+    tracemalloc.start()
+    try:
+        est = session.sample_mixed_kaction(probs, 0.3, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.samples > 10 * lg.OracleSession._CHUNK
+    assert peak < lg.OracleSession._CHUNK * 10

@@ -39,6 +39,18 @@ def test_query_pure_rejects_non_integer_actions():
                           sess.query_pure([1, 0, 0, 1]))
 
 
+def test_query_pure_rejects_actions_outside_the_action_range():
+    # the k > 2 batch kernel gathers in clip mode and trusts its rows: action k for
+    # player i would read player i + 1's action-0 cell
+    game = lg.gen_linear_influence(4, 3, 1.0, seed=0)
+    sess = lg.OracleSession(game, seed=0)
+    for actions in ([0, 3, 0, 1], [0, 1, -1, 2], [2, 2, 2, 3]):
+        with pytest.raises(ValueError, match=r"lie in \[0, 3\)"):
+            sess.query_pure(actions)
+    assert sess.pure_queries == 0
+    assert np.allclose(sess.query_pure([2, 0, 1, 2]), lg.eval_pure(game, [2, 0, 1, 2]))
+
+
 def test_stochastic_query_mean_converges():
     game = lg.gen_lower_bound(6, 4.0, seed_for_b=2)
     sess = lg.OracleSession(game, seed=5)
