@@ -17,7 +17,6 @@ from .games import (
     Game,
     IndependentGame,
     TensorGame,
-    as_pure_profile,
     _readonly,
 )
 from .oracles import StochasticGame
@@ -73,13 +72,6 @@ class LinearInfluenceGame(Game):
         """Read-only (i, l, j, b) view: player i, opponent l, own j, theirs b."""
         return self._w.transpose(2, 1, 3, 0)
 
-    def payoffs(self, actions) -> np.ndarray:
-        a = as_pure_profile(actions, self.n, self.k)
-        idx = np.arange(self.n)
-        pair = self.weights[idx[:, None], idx[None, :], a[:, None], a[None, :]]
-        influence = pair.sum(axis=1)  # diagonal is zero by construction
-        return (1.0 - self.mu) * self.base[idx, a] + self.mu / (self.n - 1) * influence
-
     def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         n, k = self.n, self.k
         scale = self.mu / (n - 1)
@@ -110,7 +102,7 @@ class LinearInfluenceGame(Game):
         x, prod, idx = self._kaction_scratch(m, rows)
         own = np.empty((m, n)) if out is None else out
         blocks = [slice(lo, lo + rows) for lo in range(0, m, rows)]
-        np.copyto(idx, actions)  # a cast copy, then an add without a cast buffer
+        np.copyto(idx, actions, casting="unsafe")  # a cast copy (float rows too), then an add
         for block in blocks:  # flat indices, counted from the first row of the block
             flat = idx[block]
             flat += tiles[0, :flat.shape[0]]

@@ -2,11 +2,11 @@
 
 A game here is an n-player, k-action payoff structure with utilities in
 [0, 1] and a declared influence budget c: no single opponent's action
-switch may move a player's payoff by more than gamma = c/n.  This module
-provides the exact evaluators (pure profiles, expected payoffs under
-mixed profiles) and the verifiers (regret, discrepancy, approximate-NE,
-well-supported NE, largeness) that every algorithm in the package is
-tested against.
+switch may move a player's payoff by more than gamma = c/n.  A game is
+evaluated in one place, ``payoffs_batch``.  This module provides the
+exact evaluators (pure profiles, expected payoffs under mixed profiles)
+and the verifiers (regret, discrepancy, approximate-NE, well-supported
+NE, largeness) that every algorithm in the package is tested against.
 
 All types are immutable after construction and every operation is pure,
 so values can be shared freely across threads.  There are two
@@ -24,8 +24,8 @@ exceptions, both in ``LinearInfluenceGame``'s batch evaluation:
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -35,6 +35,7 @@ SUPPORT_EPS = 1e-12          # probability mass below this does not count as sup
 PROB_TOL = 1e-12             # tolerance for "rows sum to one"
 LARGENESS_TOL = 1e-12
 ENUMERATION_GUARD = 2 ** 24  # max joint opponent support for brute-force expectation
+BATCH_ROWS = 4096            # pure profiles per payoffs_batch call in the verifier loops
 
 
 class CapabilityError(RuntimeError):
@@ -128,16 +129,16 @@ def as_pure_profile(actions, n: int, k: int) -> np.ndarray:
 
 
 class Game(ABC):
-    """An n-player, k-action game evaluable on pure profiles.
+    """An n-player, k-action game evaluable on batches of pure profiles.
 
-    Subclasses must fill ``n``, ``k``, ``c`` and implement ``payoffs``.
-    The default ``mixed_payoff_table`` enumerates the opponents' joint
-    support; games whose expected payoffs have a closed multilinear form
-    override it with a kernel.  The table takes a trusted (n, k)
-    probability array: profiles are checked where they enter, by
-    ``MixedProfile`` and the module-level verifiers.  Pure queries are
-    answered by ``sample_payoffs_batch``, which games with stochastic
-    utilities override to draw from their payoff distributions.
+    Subclasses fill ``n``, ``k``, ``c`` and implement ``payoffs_batch``;
+    ``payoffs`` answers one profile through it.  They may also override
+    ``mixed_payoff_table``, which by default enumerates the opponents'
+    joint support, with a closed multilinear kernel.  The table takes a trusted (n, k) probability array: profiles
+    are checked where they enter, by ``MixedProfile`` and the module-level
+    verifiers.  Pure queries are answered by ``sample_payoffs_batch``,
+    which games with stochastic utilities override to draw from their
+    payoff distributions.
     """
 
     n: int
@@ -148,21 +149,26 @@ class Game(ABC):
     def gamma(self) -> float:
         return self.c / self.n
 
-    @abstractmethod
     def payoffs(self, actions) -> np.ndarray:
-        """Payoff vector (length n) for one pure profile."""
+        """Payoff vector (length n) for one pure profile: row 0 of a one-row batch.
 
-    def payoff(self, player: int, actions) -> float:
-        return float(self.payoffs(actions)[player])
+        Only one-row answers are pinned.  A row evaluated inside a taller
+        batch may differ in its last bits, because OpenBLAS picks its
+        summation order by shape: at n = 60 about 98% of the rows of a
+        4096-row linear-influence batch differ from the same row alone.
+        """
+        a = as_pure_profile(actions, self.n, self.k)
+        return self.payoffs_batch(a[None, :])[0]
 
+    @abstractmethod
     def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Payoffs for a (S, n) batch of pure profiles; returns (S, n).
 
-        Rows may hold integer-valued floats (the binary sampling draws 0.0/1.0).
-        With ``out`` (a float (S, n) array) the payoffs are written there and
-        ``out`` is returned; otherwise the result is a new array.
+        Rows are trusted: integer-valued actions in [0, k), of any integer or
+        float dtype (the binary sampling draws 0.0/1.0).  With ``out`` (a float
+        (S, n) array) the payoffs are written there and ``out`` is returned;
+        otherwise the result is a new array.
         """
-        return np.stack([self.payoffs(row) for row in actions], out=out)
 
     def sample_payoffs_batch(self, actions: np.ndarray, rng: np.random.Generator,
                              out: np.ndarray | None = None) -> np.ndarray:
@@ -170,9 +176,26 @@ class Game(ABC):
         return self.payoffs_batch(actions, out=out)
 
     def mixed_payoff_table(self, probs: np.ndarray) -> np.ndarray:
-        """Exact table, entry (i, j) = E[u_i(j, a_-i)], by enumeration."""
-        return np.array([[_enumerated_cell(self, probs, i, j) for j in range(self.k)]
-                         for i in range(self.n)])
+        """Exact table, entry (i, j) = E[u_i(j, a_-i)], by enumeration: per
+        player, every own action with every joint opponent support action."""
+        n, k = self.n, self.k
+        # exact zero test: dropping sub-threshold mass would bias the expectation
+        supports = [np.flatnonzero(probs[l] > 0.0) for l in range(n)]
+        table = np.zeros((n, k))
+        for i in range(n):
+            joint = math.prod(len(s) for l, s in enumerate(supports) if l != i)
+            if joint > ENUMERATION_GUARD:
+                raise CapabilityError(f"joint opponent support {joint} exceeds {ENUMERATION_GUARD}")
+            axes = supports[:i] + [np.arange(k)] + supports[i + 1:]
+            sizes = [len(axis) for axis in axes]
+            for lo in range(0, joint * k, BATCH_ROWS):
+                digits = np.unravel_index(np.arange(lo, min(lo + BATCH_ROWS, joint * k)), sizes)
+                actions = np.column_stack([axis[d] for axis, d in zip(axes, digits)])
+                p = probs[np.arange(n), actions]
+                p[:, i] = 1.0
+                paid = self.payoffs_batch(actions)[:, i] * p.prod(axis=1)
+                table[i] += np.bincount(actions[:, i], weights=paid, minlength=k)
+        return table
 
 
 class TensorGame(Game):
@@ -191,10 +214,6 @@ class TensorGame(Game):
         self.n = n
         self.k = tensor.shape[1]
         self.c = float(c)
-
-    def payoffs(self, actions) -> np.ndarray:
-        a = as_pure_profile(actions, self.n, self.k)
-        return self.tensor[(slice(None), *a)].copy()
 
     def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         a = np.asarray(actions, dtype=np.intp)
@@ -246,10 +265,6 @@ class IndependentGame(Game):
         self.n, self.k = values.shape
         self.c = float(c)
 
-    def payoffs(self, actions) -> np.ndarray:
-        a = as_pure_profile(actions, self.n, self.k)
-        return self.values[np.arange(self.n), a].copy()
-
     def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         cell = np.asarray(actions, dtype=np.intp) + np.arange(0, self.n * self.k, self.k)
         return np.take(self.values, cell, out=out)
@@ -276,28 +291,6 @@ def _check_profile(game: Game, profile: MixedProfile) -> MixedProfile:
     return profile
 
 
-def _enumerated_cell(game: Game, probs: np.ndarray, player: int, action: int) -> float:
-    # exact zero test: dropping sub-threshold mass would bias the expectation
-    supports = [np.nonzero(probs[l] > 0.0)[0] for l in range(game.n)]
-    joint = 1
-    for l in range(game.n):
-        if l != player:
-            joint *= len(supports[l])
-    if joint > ENUMERATION_GUARD:
-        raise CapabilityError(f"joint opponent support {joint} exceeds {ENUMERATION_GUARD}")
-    a = np.zeros(game.n, dtype=np.int64)
-    a[player] = action
-    others = [l for l in range(game.n) if l != player]
-    total = 0.0
-    for combo in itertools.product(*(supports[l] for l in others)):
-        w = 1.0
-        for l, al in zip(others, combo):
-            a[l] = al
-            w *= probs[l][al]
-        total += w * game.payoff(player, a)
-    return total
-
-
 def expected_payoff(game: Game, profile: MixedProfile, player: int, action: int) -> float:
     """E[u_player(action, a_-player)] with opponents drawn from the profile."""
     _check_profile(game, profile)
@@ -318,7 +311,7 @@ def mixed_payoff_table(game: Game, profile: MixedProfile) -> np.ndarray:
 
 def eval_pure(game: Game, actions) -> np.ndarray:
     """Payoff vector for one pure profile."""
-    return game.payoffs(as_pure_profile(actions, game.n, game.k))
+    return game.payoffs(actions)
 
 
 def regrets_from_table(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -409,50 +402,56 @@ def check_largeness(game: Game, gamma: float, mode: str = "exhaustive",
     """Verify that unilateral opponent deviations move payoffs by at most gamma.
 
     ``exhaustive`` scans every profile and deviation (allowed only while
-    k^n <= 2^20); ``sampled`` draws random (profile, deviator, action)
-    triples from a seeded generator.
+    k^n <= 2^20); ``sampled`` draws ``trials`` random (profile, deviator,
+    action) triples from a seeded generator.  Both evaluate their triples
+    ``BATCH_ROWS`` at a time; the witness is the first triple and victim,
+    in scan order, with the largest change.
     """
-    worst = 0.0
-    witness = None
-    tested = 0
     if mode == "exhaustive":
         if game.k ** game.n > 2 ** 20:
             raise CapabilityError("profile space too large for exhaustive largeness check")
-        for a in itertools.product(range(game.k), repeat=game.n):
-            base = game.payoffs(np.array(a))
-            for j in range(game.n):
-                for alt in range(game.k):
-                    if alt == a[j]:
-                        continue
-                    dev = np.array(a)
-                    dev[j] = alt
-                    moved = game.payoffs(dev)
-                    tested += 1
-                    for i in range(game.n):
-                        if i == j:
-                            continue
-                        change = abs(moved[i] - base[i])
-                        if change > worst:
-                            worst = change
-                            witness = (tuple(a), i, j, alt)
+        triples = _every_deviation(game.n, game.k)
     elif mode == "sampled":
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            a = rng.integers(0, game.k, size=game.n)
-            j = int(rng.integers(game.n))
-            alt = int((a[j] + 1 + rng.integers(game.k - 1)) % game.k)
-            base = game.payoffs(a)
-            dev = a.copy()
-            dev[j] = alt
-            moved = game.payoffs(dev)
-            tested += 1
-            diff = np.abs(moved - base)
-            diff[j] = 0.0
-            i = int(np.argmax(diff))
-            if diff[i] > worst:
-                worst = float(diff[i])
-                witness = (tuple(int(x) for x in a), i, j, alt)
+        if trials < 1:
+            raise ValueError("sampled largeness check needs trials >= 1")
+        triples = _sampled_deviations(game.n, game.k, trials, seed)
     else:
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
+    worst = 0.0
+    witness = None
+    tested = 0
+    for actions, deviator, alt in triples:
+        rows = np.arange(actions.shape[0])
+        moved = actions.copy()
+        moved[rows, deviator] = alt
+        diff = np.abs(game.payoffs_batch(moved) - game.payoffs_batch(actions))
+        diff[rows, deviator] = 0.0
+        s, i = np.unravel_index(np.argmax(diff), diff.shape)  # first maximum in scan order
+        if diff[s, i] > worst:
+            worst = float(diff[s, i])
+            witness = (tuple(int(x) for x in actions[s]), int(i), int(deviator[s]), int(alt[s]))
+        tested += rows.size
     return LargenessReport(ok=bool(worst <= gamma + LARGENESS_TOL), gamma=gamma,
                            worst=worst, witness=witness, tested=tested)
+
+
+def _every_deviation(n: int, k: int):
+    """Every (profile, deviator, other action) triple, in that order of keys."""
+    total = k ** n * n * (k - 1)
+    for lo in range(0, total, BATCH_ROWS):
+        profile, deviator, step = np.unravel_index(
+            np.arange(lo, min(lo + BATCH_ROWS, total)), (k ** n, n, k - 1))
+        actions = np.column_stack(np.unravel_index(profile, (k,) * n))
+        own = actions[np.arange(profile.size), deviator]
+        yield actions, deviator, step + (step >= own)  # skip the deviator's own action
+
+
+def _sampled_deviations(n: int, k: int, trials: int, seed: int):
+    """``trials`` uniform (profile, deviator, other action) triples."""
+    rng = np.random.default_rng(seed)
+    for lo in range(0, trials, BATCH_ROWS):
+        m = min(BATCH_ROWS, trials - lo)
+        actions = rng.integers(0, k, size=(m, n))
+        deviator = rng.integers(n, size=m)
+        alt = (actions[np.arange(m), deviator] + 1 + rng.integers(k - 1, size=m)) % k
+        yield actions, deviator, alt

@@ -65,9 +65,6 @@ class StochasticGame(Game):
         self.kind = kind
         self.n, self.k, self.c = base.n, base.k, base.c
 
-    def payoffs(self, actions) -> np.ndarray:
-        return self.base.payoffs(actions)
-
     def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return self.base.payoffs_batch(actions, out=out)
 

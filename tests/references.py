@@ -43,6 +43,16 @@ def linear_payoffs(game, actions):
     return out
 
 
+def pairwise_payoffs(game, actions):
+    """Linear-influence payoffs of one pure profile, summed pair by pair as the
+    former per-profile ``LinearInfluenceGame.payoffs`` did."""
+    a = np.asarray(actions, dtype=np.int64)
+    idx = np.arange(game.n)
+    pair = game.weights[idx[:, None], idx[None, :], a[:, None], a[None, :]]
+    influence = pair.sum(axis=1)  # diagonal is zero by construction
+    return (1.0 - game.mu) * game.base[idx, a] + game.mu / (game.n - 1) * influence
+
+
 def reference_reduce(actions, payoffs, counts, sums):
     """Add one chunk of int8 k = 2 rows to the per-cell counts and sums, as the former
     reduction did."""

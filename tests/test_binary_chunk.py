@@ -189,21 +189,6 @@ def test_kaction_payoffs_batch_into_out_matches_a_fresh_result():
     assert np.array_equal(out, game.payoffs_batch(a))
 
 
-def test_default_payoffs_batch_takes_float_rows_and_out():
-    class RowByRow(lg.Game):  # only payoffs: the base class stacks its rows
-        def __init__(self, inner):
-            self.inner, self.n, self.k, self.c = inner, inner.n, inner.k, inner.c
-
-        def payoffs(self, actions):
-            return self.inner.payoffs(actions)
-
-    inner = lg.gen_linear_influence(5, 2, 1.0, seed=2)
-    a = np.random.default_rng(3).integers(0, 2, size=(12, 5)).astype(np.int8)
-    out = np.full((12, 5), np.nan)
-    assert RowByRow(inner).payoffs_batch(a.astype(np.float64), out=out) is out
-    assert np.array_equal(out, np.stack([inner.payoffs(row) for row in a]))
-
-
 @pytest.mark.parametrize("family", ("stochastic-linear", "lower-bound"))
 def test_stochastic_draws_into_out_match_the_former_draws(family):
     game = GAMES[family](7)

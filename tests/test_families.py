@@ -5,7 +5,7 @@ import pytest
 
 import largegames as lg
 from largegames import families
-from largegames.games import _enumerated_cell
+from references import pairwise_payoffs
 
 
 # ---------------------------------------------------------------------------
@@ -41,10 +41,10 @@ def test_linear_influence_exact_table_matches_enumeration():
     probs = np.array([[0.25, 0.75], [0.6, 0.4], [0.5, 0.5]])
     p = lg.MixedProfile(probs)
     table = lg.mixed_payoff_table(g, p)
+    enumerated = lg.Game.mixed_payoff_table(g, probs)
     for i in range(3):
         for j in range(2):
-            assert table[i, j] == pytest.approx(
-                _enumerated_cell(g, probs, i, j), abs=1e-12)
+            assert table[i, j] == pytest.approx(enumerated[i, j], abs=1e-12)
 
 
 def test_linear_influence_monte_carlo_agreement():
@@ -89,8 +89,7 @@ def test_linear_influence_table_matches_enumeration_small_n(n, k):
     g = lg.gen_linear_influence(n, k, 1.0, seed=k)
     for probs in _profiles(n, k, rng):
         table = g.mixed_payoff_table(probs)
-        slow = np.array([[_enumerated_cell(g, probs, i, j) for j in range(k)]
-                         for i in range(n)])
+        slow = lg.Game.mixed_payoff_table(g, probs)
         assert np.allclose(table, slow, rtol=0.0, atol=1e-12)
 
 
@@ -99,7 +98,7 @@ def test_linear_influence_batch_matches_stacked_payoffs(k):
     rng = np.random.default_rng(k)
     g = lg.gen_linear_influence(9, k, 0.7, seed=k)
     actions = rng.integers(0, k, size=(64, 9)).astype(np.int8)
-    stacked = np.stack([g.payoffs(a) for a in actions])
+    stacked = np.stack([pairwise_payoffs(g, a) for a in actions])
     assert np.allclose(g.payoffs_batch(actions), stacked, rtol=0.0, atol=1e-12)
 
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 import largegames as lg
 from largegames.binary import plane_residual
-from largegames.games import _enumerated_cell
 
 
 def independent_game(n, hi=0.7, lo=0.3):
@@ -98,8 +97,7 @@ def test_fast_path_matches_enumeration():
         probs /= probs.sum(axis=1, keepdims=True)
         p = lg.MixedProfile(probs)
         fast = lg.mixed_payoff_table(g, p)
-        slow = np.array([[_enumerated_cell(g, probs, i, j)
-                          for j in range(g.k)] for i in range(g.n)])
+        slow = lg.Game.mixed_payoff_table(g, probs)
         assert np.abs(fast - slow).max() <= 1e-12
 
 
@@ -109,21 +107,21 @@ def test_enumeration_guard():
     class Opaque(lg.Game):
         n, k, c = g.n, g.k, g.c
 
-        def payoffs(self, a):
-            return g.payoffs(a)
+        def payoffs_batch(self, a, out=None):
+            return g.payoffs_batch(a, out=out)
 
     with pytest.raises(lg.CapabilityError):
         lg.expected_payoff(Opaque(), lg.MixedProfile.uniform(30, 2), 0, 0)
 
 
 class Enumerated(lg.Game):
-    """Wraps a game and defines only ``payoffs``, so every exact table enumerates."""
+    """Wraps a game and defines only ``payoffs_batch``, so every exact table enumerates."""
 
     def __init__(self, inner):
         self.inner, self.n, self.k, self.c = inner, inner.n, inner.k, inner.c
 
-    def payoffs(self, actions):
-        return self.inner.payoffs(actions)
+    def payoffs_batch(self, actions, out=None):
+        return self.inner.payoffs_batch(actions, out=out)
 
 
 def _every_cell(g, probs):
@@ -283,6 +281,15 @@ def test_largeness_sampled_mode():
     g = lg.gen_linear_influence(40, 2, 1.0, seed=3)
     rep = lg.check_largeness(g, g.gamma, mode="sampled", trials=2000, seed=1)
     assert rep.ok and rep.tested > 0
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_largeness_sampled_needs_a_trial(trials):
+    # at gamma = 0 one trial already finds a violation; no trials must not pass
+    g = lg.gen_linear_influence(40, 2, 40.0, seed=3)
+    assert not lg.check_largeness(g, 0.0, mode="sampled", trials=1).ok
+    with pytest.raises(ValueError, match="trials"):
+        lg.check_largeness(g, 0.0, mode="sampled", trials=trials)
 
 
 def test_largeness_exhaustive_guard():

@@ -115,6 +115,15 @@ def test_payoffs_batch_matches_mask_reference(k, n, dtype):
     assert np.array_equal(game.payoffs_batch(actions), mask_payoffs(game, actions))
 
 
+@pytest.mark.parametrize("rows", CHUNKS)
+@pytest.mark.parametrize("k", (3, 4))
+def test_payoffs_batch_takes_integer_valued_float_rows(k, rows):
+    game = lg.gen_linear_influence(7, k, 1.0, seed=k)
+    actions = np.random.default_rng(rows).integers(0, k, size=(rows, 7)).astype(np.int8)
+    assert np.array_equal(game.payoffs_batch(actions.astype(np.float64)),
+                          game.payoffs_batch(actions))
+
+
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("n", NS)
 @pytest.mark.parametrize("k", KS)

@@ -19,8 +19,26 @@ def test_query_pure_matches_eval_and_counts():
     sess = lg.OracleSession(g, seed=0)
     for m, a in enumerate([np.zeros(5, int), np.ones(5, int), np.array([0, 1, 0, 1, 0])]):
         got = sess.query_pure(a)
-        assert np.allclose(got, lg.eval_pure(g, a))
+        assert np.array_equal(got, lg.eval_pure(g, a))
         assert sess.pure_queries == m + 1
+
+
+PURE_GAMES = {
+    "linear-k2": lambda: lg.gen_linear_influence(6, 2, 1.0, seed=0),
+    "linear-k3": lambda: lg.gen_linear_influence(6, 3, 1.0, seed=0),
+    "linear-k4": lambda: lg.gen_linear_influence(6, 4, 1.0, seed=0),
+    "tensor": lambda: lg.TensorGame(np.random.default_rng(0).random((4, 3, 3, 3, 3)), c=4.0),
+    "independent": lambda: lg.IndependentGame(np.random.default_rng(0).random((6, 3))),
+}
+
+
+@pytest.mark.parametrize("name", PURE_GAMES)
+def test_query_pure_is_eval_pure_bit_for_bit(name):
+    # both answer one profile as a one-row batch, so their bits must agree
+    g = PURE_GAMES[name]()
+    sess = lg.OracleSession(g, seed=0)
+    for a in np.random.default_rng(1).integers(0, g.k, size=(50, g.n)):
+        assert np.array_equal(sess.query_pure(a), lg.eval_pure(g, a))
 
 
 def test_query_pure_dimension_mismatch():
@@ -48,7 +66,7 @@ def test_query_pure_rejects_actions_outside_the_action_range():
         with pytest.raises(ValueError, match=r"lie in \[0, 3\)"):
             sess.query_pure(actions)
     assert sess.pure_queries == 0
-    assert np.allclose(sess.query_pure([2, 0, 1, 2]), lg.eval_pure(game, [2, 0, 1, 2]))
+    assert np.array_equal(sess.query_pure([2, 0, 1, 2]), lg.eval_pure(game, [2, 0, 1, 2]))
 
 
 def test_stochastic_query_mean_converges():
@@ -209,8 +227,8 @@ def test_exact_mixed_needs_capability():
     class Opaque(lg.Game):
         n, k, c = 30, 2, 1.0
 
-        def payoffs(self, a):
-            return np.full(30, 0.5)
+        def payoffs_batch(self, a, out=None):
+            return np.full((a.shape[0], 30), 0.5)
 
     sess = lg.OracleSession(Opaque(), seed=0)
     with pytest.raises(lg.CapabilityError):
