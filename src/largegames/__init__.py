@@ -34,7 +34,6 @@ from .oracles import (
 from .families import (
     LinearInfluenceGame,
     LowerBoundGame,
-    TinyTensorGame,
     gen_linear_influence,
     gen_lower_bound,
     gen_tiny_tensor,
@@ -43,17 +42,14 @@ from .families import (
 from .binary import (
     BadGoodLabels,
     DynamicsParams,
-    DynamicsRecorder,
     communication_dynamics,
     curve_band,
     curve_dynamics,
     curve_regret_bound,
-    curve_target,
     one_step,
     plane_dynamics,
     plane_residual,
     two_step,
-    uniform_profile,
 )
 from .continuous import Trajectory, simulate_curve_flow, simulate_plane_flow
 from .blocks import (

@@ -91,36 +91,6 @@ def label_bad_players(vhat: np.ndarray, p_one: np.ndarray) -> BadGoodLabels:
     return BadGoodLabels(bad=bad, theta=float(bad.mean()))
 
 
-class DynamicsRecorder:
-    """Optional per-round capture of the probabilities, residuals and
-    best-response signs each round starts from, plus the final probabilities."""
-
-    def __init__(self):
-        self._probs = []
-        self._residuals = []
-        self._signs = []
-
-    def __call__(self, p_one, values, residual):
-        self._probs.append(np.array(p_one))
-        self._residuals.append(np.array(residual))
-        self._signs.append(np.where(values[:, 1] >= values[:, 0], 1, -1))
-
-    def finish(self, p_one):
-        self._probs.append(np.array(p_one))
-
-    @property
-    def probs(self) -> np.ndarray:
-        return np.array(self._probs)
-
-    @property
-    def residuals(self) -> np.ndarray:
-        return np.array(self._residuals)
-
-    @property
-    def signs(self) -> np.ndarray:
-        return np.array(self._signs)
-
-
 class _MixedEstimator:
     """Uniform access to mixed payoff tables, exact or sampled."""
 
@@ -139,11 +109,6 @@ class _MixedEstimator:
         if self.mode == "exact":
             return self.session.exact_mixed(probs)
         return self.session.sample_mixed_binary(probs, self.beta, self.delta).values
-
-
-def uniform_profile(n: int, k: int = 2) -> MixedProfile:
-    """The queryless baseline: every player mixes uniformly."""
-    return MixedProfile.uniform(n, k)
 
 
 def one_step(session: OracleSession, alpha: float = ONE_STEP_ALPHA,
@@ -216,31 +181,31 @@ def _plane_rule(step: float, bad: np.ndarray | None = None):
     return rule
 
 
-def _banded(session, params, band, mode, sample_beta, make_rule, recorder):
+def _banded(session, params, band, mode, sample_beta, make_rule, record):
     """Set up the estimator for a band and run the banded rounds from the
-    uniform start.  Returns (estimator, p, step, rounds)."""
+    uniform start; ``record`` is the round hook of ``_banded_rounds``.
+    Returns (estimator, p, step, rounds)."""
     step, rounds = _schedule(band)
     beta = sample_beta if sample_beta is not None else step
     est = _MixedEstimator(session, mode, beta, params.eta / rounds)
     p = np.full(session.game.n, 0.5)
     # the first round tracks against a second estimate at the start
-    p, _ = _banded_rounds(est, make_rule(step), p, est(p), est(p), rounds, recorder)
-    if recorder is not None:
-        recorder.finish(p)
+    p, _ = _banded_rounds(est, make_rule(step), p, est(p), est(p), rounds, record)
     return est, p, step, rounds
 
 
 def plane_dynamics(session: OracleSession, params: DynamicsParams, mode: str = "exact",
-                   sample_beta: float | None = None,
-                   recorder: DynamicsRecorder | None = None):
+                   sample_beta: float | None = None, record=None):
     """Completely uncoupled rounds steering every state into the plane band.
 
     Sampling mode estimates payoffs with accuracy beta = step (or the
     relaxed override) and per-round confidence eta / rounds; exact mode
-    substitutes exact mixed queries.
+    substitutes exact mixed queries.  ``record(p, v, resid)``, if given,
+    sees the state each banded round starts from; ``communication_dynamics``
+    and ``curve_dynamics`` take it too.
     """
     est, p, _, _ = _banded(session, params, params.band, mode, sample_beta,
-                           _plane_rule, recorder)
+                           _plane_rule, record)
     profile = MixedProfile.from_binary(p)
     run_params = params.as_dict() | {"mode": mode}
     if mode == "sampling":
@@ -251,7 +216,7 @@ def plane_dynamics(session: OracleSession, params: DynamicsParams, mode: str = "
 
 def communication_dynamics(session: OracleSession, params: DynamicsParams,
                            mode: str = "exact", sample_beta: float | None = None,
-                           recorder: DynamicsRecorder | None = None):
+                           record=None):
     """Plane pursuit plus one broadcast bit that lets high-regret players
     shed regret below the 1/8 plane bound.
 
@@ -261,7 +226,7 @@ def communication_dynamics(session: OracleSession, params: DynamicsParams,
     track; then the (re-labelled) flagged players march a further 1/220.
     """
     est, p, step, rounds = _banded(session, params, params.band, mode, sample_beta,
-                                   _plane_rule, recorder)
+                                   _plane_rule, record)
     vhat = est(p)  # fresh estimate at the settled profile for labelling
     labels = label_bad_players(vhat, p)
     theta_measured = labels.theta
@@ -288,11 +253,6 @@ def communication_dynamics(session: OracleSession, params: DynamicsParams,
 
 # ---------------------------------------------------------------------------
 # general influence budget: the plane generalizes to a capped curve
-
-def curve_target(disc, c: float):
-    """Best-response mass the dynamics aim for: min(1/2 + D / (2c), 1)."""
-    return np.minimum(0.5 + np.asarray(disc, dtype=float) / (2.0 * c), 1.0)
-
 
 def curve_band(alpha: float, c: float) -> float:
     """Band half-width whose worst-case regret meets the curve bound + alpha."""
@@ -336,8 +296,7 @@ def _curve_rule(c: float, step: float):
 
 
 def curve_dynamics(session: OracleSession, params: DynamicsParams, c: float | None = None,
-                   mode: str = "exact", sample_beta: float | None = None,
-                   recorder: DynamicsRecorder | None = None):
+                   mode: str = "exact", sample_beta: float | None = None, record=None):
     """Banded pursuit of the capped curve p* = min(1/2 + D/(2c), 1).
 
     Three cases per round: climb toward the curve from below (snapping on
@@ -350,7 +309,7 @@ def curve_dynamics(session: OracleSession, params: DynamicsParams, c: float | No
         c = session.game.c
     band = curve_band(params.alpha, c)
     _, p, step, rounds = _banded(session, params, band, mode, sample_beta,
-                                 lambda step: _curve_rule(c, step), recorder)
+                                 lambda step: _curve_rule(c, step), record)
     profile = MixedProfile.from_binary(p)
     run_params = {"alpha": params.alpha, "eta": params.eta, "c": c, "band": band,
                   "step": step, "rounds": rounds, "mode": mode}

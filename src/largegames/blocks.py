@@ -34,10 +34,6 @@ class TruncatedTriangle:
     def height(self, x):
         return np.minimum(self.slope * np.asarray(x, dtype=float), 1.0)
 
-    @property
-    def truncated(self) -> bool:
-        return self.base * self.slope > 1.0
-
 
 def left_sum(tri: TruncatedTriangle, partition) -> float:
     """Sum of rectangles anchored at partition points, heights read at the
@@ -139,27 +135,20 @@ def bound_table(cs, ks, block_counts) -> list[dict]:
 
 
 def block_update(session: OracleSession, blocks: int, mode: str = "exact",
-                 beta: float = 0.1, delta: float = 0.05,
-                 init: str = "zeros", seed: int | None = None):
+                 beta: float = 0.1, delta: float = 0.05):
     """Run the block reallocation rounds and return the induced profile.
 
-    Blocks start on action 0 (or seeded-random with ``init='random'``).
-    Every round all players reassign the round's block to their current
-    best response, lowest index on ties, from one shared payoff snapshot.
+    Every block starts on action 0.  Every round all players reassign the
+    round's block to their current best response, lowest index on ties,
+    from one shared payoff snapshot.
     """
     game = session.game
     if blocks < 1:
         raise ValueError("need at least one block")
     n, k = game.n, game.k
-    if init == "zeros":
-        allocation = np.zeros((n, blocks), dtype=np.int64)
-    elif init == "random":
-        allocation = np.random.default_rng(seed).integers(0, k, size=(n, blocks))
-    else:
-        raise ValueError("init must be 'zeros' or 'random'")
+    allocation = np.zeros((n, blocks), dtype=np.int64)
     counts = np.zeros((n, k), dtype=np.int64)
-    for i in range(n):
-        counts[i] = np.bincount(allocation[i], minlength=k)
+    counts[:, 0] = blocks
 
     for t in range(blocks):
         if mode == "exact":
@@ -176,7 +165,7 @@ def block_update(session: OracleSession, blocks: int, mode: str = "exact",
 
     profile = MixedProfile(counts / blocks)
     report = build_report(
-        "block-update", {"blocks": blocks, "mode": mode, "init": init},
+        "block-update", {"blocks": blocks, "mode": mode, "init": "zeros"},
         session, profile, rounds=blocks,
         extra={"k": k, "N": blocks,
                "per_round_allocation_digest": array_digest(allocation)})

@@ -141,7 +141,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _load_profile(path: str, n: int, k: int) -> MixedProfile:
+def _load_profile(path: str) -> MixedProfile:
     with open(path) as fh:
         obj = json.load(fh)
     if isinstance(obj, dict) and "binary" in obj:
@@ -154,7 +154,7 @@ def _load_profile(path: str, n: int, k: int) -> MixedProfile:
 def cmd_verify(args) -> int:
     with open(args.game) as fh:
         game = families.game_from_json(fh.read())
-    profile = _load_profile(args.profile, game.n, game.k)
+    profile = _load_profile(args.profile)
     report = regret_report(game, profile)
     ok = report.max_regret <= args.eps
     out = {"eps": args.eps, "pass": bool(ok)} | report.to_dict()

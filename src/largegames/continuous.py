@@ -34,15 +34,11 @@ class Trajectory:
         return self.p.shape[1]
 
     def first_inside(self, tol: float | None = None) -> np.ndarray:
-        """Per player, the first time the residual enters the tolerance band."""
+        """Per player, the first time the residual enters the tolerance band
+        (inf for a player that never enters)."""
         tol = self.band if tol is None else tol
         inside = np.abs(self.residual) <= tol + 1e-12
-        first = np.full(self.n, np.inf)
-        for i in range(self.n):
-            hits = np.nonzero(inside[:, i])[0]
-            if hits.size:
-                first[i] = self.times[hits[0]]
-        return first
+        return np.where(inside.any(axis=0), self.times[inside.argmax(axis=0)], np.inf)
 
     def stays_inside(self, t_from: float, tol: float | None = None) -> bool:
         tol = self.band if tol is None else tol

@@ -261,26 +261,16 @@ def gen_lower_bound(n: int, ell: float, seed_for_b: int) -> StochasticGame:
     return StochasticGame(LowerBoundGame(bits, ell))
 
 
-class TinyTensorGame(TensorGame):
-    """Random explicit tensor squeezed into a width-gamma band around 1/2."""
-
-    def __init__(self, raw: np.ndarray, gamma: float):
-        self.raw = _readonly(raw)
-        self.gamma_band = float(gamma)
-        n = raw.shape[0]
-        tensor = 0.5 - gamma / 2.0 + gamma * raw
-        super().__init__(tensor, c=gamma * n)
-
-
-def gen_tiny_tensor(n: int, k: int, gamma: float, seed: int) -> TinyTensorGame:
-    """Uniform random tensor rescaled so largeness holds by construction."""
+def gen_tiny_tensor(n: int, k: int, gamma: float, seed: int) -> TensorGame:
+    """Uniform random tensor squeezed into a width-gamma band around 1/2,
+    so largeness holds by construction with c = gamma n."""
     if k ** n > 4096:
         raise ValueError("tiny tensor games require k^n <= 4096")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     raw = rng.random((n,) + (k,) * n)
-    return TinyTensorGame(raw, gamma)
+    return TensorGame(0.5 - gamma / 2.0 + gamma * raw, c=gamma * n)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +279,21 @@ def gen_tiny_tensor(n: int, k: int, gamma: float, seed: int) -> TinyTensorGame:
 FAMILIES = ("linear-influence", "lower-bound", "tiny-tensor")
 
 
+def check_object(obj, keys, what: str, numbers=()):
+    """Raise ValueError unless ``obj`` is a JSON object holding every key of
+    ``keys``, and a number under every key of ``numbers`` that it holds."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+    for key in numbers:
+        if key in obj and not isinstance(obj[key], (int, float)):
+            raise ValueError(f"{what} {key!r} must be a number")
+
+
 def make_game(family: str, params: dict, seed: int) -> Game:
+    check_object(params, ("n",), "family params", numbers=("n", "k", "c", "ell", "gamma"))
     if family == "linear-influence":
         return gen_linear_influence(int(params["n"]), int(params.get("k", 2)),
                                     float(params.get("c", 1.0)), seed)
@@ -315,11 +319,17 @@ def descriptor_to_json(desc: dict) -> str:
 
 
 def game_from_descriptor(desc: dict) -> Game:
+    check_object(desc, ("family", "params", "seed"), "game descriptor")
+    if not isinstance(desc["seed"], int):
+        raise ValueError("game descriptor 'seed' must be an integer")
     return make_game(desc["family"], desc["params"], desc["seed"])
 
 
 def game_from_json(text: str) -> Game:
     obj = json.loads(text)
-    if "payoffs" in obj:  # explicit tiny tensor
+    if isinstance(obj, dict) and "payoffs" in obj:  # explicit tiny tensor
+        check_object(obj, ("n", "k", "c"), "tensor game", numbers=("n", "k", "c"))
+        if not isinstance(obj["payoffs"], list):
+            raise ValueError("tensor game 'payoffs' must be a JSON list")
         return TensorGame.from_json(text)
     return game_from_descriptor(obj)

@@ -52,17 +52,13 @@ def _check_params(beta: float, delta: float):
 class StochasticGame(Game):
     """A game whose stated payoffs are means of per-profile distributions.
 
-    Queries return one independent draw per player; the deterministic
-    view (``payoffs`` and the exact mixed table) exposes the means.  The
-    default and only distribution kind is Bernoulli(mean), the extremal
-    distribution on [0, 1].
+    Queries return one independent Bernoulli(mean) draw per player, the
+    extremal distribution on [0, 1]; the deterministic view (``payoffs``
+    and the exact mixed table) exposes the means.
     """
 
-    def __init__(self, base: Game, kind: str = "bernoulli"):
-        if kind != "bernoulli":
-            raise ValueError("unsupported distribution kind")
+    def __init__(self, base: Game):
         self.base = base
-        self.kind = kind
         self.n, self.k, self.c = base.n, base.k, base.c
 
     def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -106,6 +106,17 @@ ALGOS = {
 }
 
 
+# JSON type of each key of a config file besides "family"
+_CONFIG_TYPES = {
+    "algo": (str, "a string"), "oracle": (str, "a string"),
+    "algo_params": (dict, "a JSON object"), "seeds": (list, "a JSON list"),
+    "beta": ((int, float, type(None)), "a number or null"),
+    "delta": ((int, float, type(None)), "a number or null"),
+    "out": ((str, type(None)), "a string or null"),
+    "trace": ((str, type(None)), "a string or null"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """One batch: a game family, an algorithm, an oracle mode and seeds."""
@@ -134,6 +145,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        families.check_object(obj, ("family", "algo"), "config")
+        families.check_object(obj["family"], ("family",), "config family")
+        for key, (kinds, text) in _CONFIG_TYPES.items():
+            if key in obj and not isinstance(obj[key], kinds):
+                raise ValueError(f"config {key!r} must be {text}")
+        if not all(isinstance(seed, int) for seed in obj.get("seeds", [])):
+            raise ValueError("config 'seeds' must hold integers")
+        if not all(value is None or isinstance(value, (int, float))
+                   for value in obj.get("algo_params", {}).values()):
+            raise ValueError("config 'algo_params' must hold numbers or null")
         return cls(
             family=obj["family"],
             algo=obj["algo"],
@@ -141,7 +162,7 @@ class ExperimentConfig:
             oracle=obj.get("oracle", "exact"),
             beta=obj.get("beta"),
             delta=obj.get("delta"),
-            seeds=[int(s) for s in obj.get("seeds", [])],
+            seeds=list(obj.get("seeds", [])),
             out=obj.get("out"),
             trace=obj.get("trace"),
         )

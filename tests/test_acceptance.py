@@ -29,7 +29,7 @@ def test_criterion_01_uniform_baseline():
     worst = 0.0
     for seed in range(100):
         g = lg.gen_linear_influence(50, 2, 1.0, seed=seed)
-        worst = max(worst, lg.regret_report(g, lg.uniform_profile(50)).max_regret)
+        worst = max(worst, lg.regret_report(g, lg.MixedProfile.uniform(50)).max_regret)
     _report(1, "uniform baseline regret <= 1/2", worst <= 0.5 + 1e-12,
             f"worst {worst:.4f}, {time.time() - start:.1f}s")
 
@@ -101,7 +101,7 @@ def test_criterion_06_sampling_concentration():
     start = time.time()
     n, beta, delta = 5, 0.25, 0.1
     g = lg.gen_linear_influence(n, 2, 1.0, seed=0)
-    p = lg.uniform_profile(n)
+    p = lg.MixedProfile.uniform(n)
     exact = None
     good = 0
     for s in range(200):

@@ -13,6 +13,7 @@ from largegames.binary import (
     ONE_STEP_SHIFT,
     _banded_rounds,
     _curve_rule,
+    _curve_state,
     _plane_rule,
     label_bad_players,
     plane_residual,
@@ -22,6 +23,19 @@ from largegames.binary import (
 def exact_states(game, profile):
     table = lg.mixed_payoff_table(game, profile)
     return table, plane_residual(table[:, 1], table[:, 0], profile.binary())
+
+
+def recorded(dynamics, session, params, **kwargs):
+    """Run banded dynamics with a ``record`` hook.  Returns the profile,
+    the report and the per-round p, v and residual stacked over rounds."""
+    rounds = []
+
+    def record(p, v, resid):
+        rounds.append((p.copy(), v.copy(), resid.copy()))
+
+    profile, report = dynamics(session, params, record=record, **kwargs)
+    p, v, resid = (np.array(x) for x in zip(*rounds))
+    return profile, report, p, v, resid
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +93,7 @@ def test_plane_band_contains():
 # uniform baseline
 
 def test_uniform_profile():
-    p = lg.uniform_profile(3)
+    p = lg.MixedProfile.uniform(3)
     assert np.allclose(p.binary(), 0.5)
     g = lg.constant_game(3)
     assert lg.regret_report(g, p).max_regret == 0.0
@@ -88,7 +102,7 @@ def test_uniform_profile():
 def test_uniform_half_bound_on_family():
     for seed in range(8):
         g = lg.gen_linear_influence(25, 2, 1.0, seed=seed)
-        assert lg.regret_report(g, lg.uniform_profile(25)).max_regret <= 0.5 + 1e-12
+        assert lg.regret_report(g, lg.MixedProfile.uniform(25)).max_regret <= 0.5 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -193,26 +207,41 @@ def test_plane_dynamics_reaches_band_and_bound():
 
 def test_plane_dynamics_probabilities_stay_valid():
     params = lg.DynamicsParams(alpha=0.1)
-    rec = lg.DynamicsRecorder()
     g = lg.gen_linear_influence(20, 2, 1.0, seed=4)
-    lg.plane_dynamics(lg.OracleSession(g, seed=4), params, recorder=rec)
-    assert rec.probs.min() >= 0.0 and rec.probs.max() <= 1.0
-    assert rec.probs.shape == (params.rounds + 1, 20)
+    profile, _, p, _, _ = recorded(lg.plane_dynamics, lg.OracleSession(g, seed=4), params)
+    probs = np.vstack([p, profile.binary()])
+    assert probs.min() >= 0.0 and probs.max() <= 1.0
+    assert probs.shape == (params.rounds + 1, 20)
 
 
 def test_plane_dynamics_monotone_approach_without_flips():
     params = lg.DynamicsParams(alpha=0.05)
     for seed in range(4):
         g = lg.gen_linear_influence(30, 2, 1.0, seed=seed)
-        rec = lg.DynamicsRecorder()
-        lg.plane_dynamics(lg.OracleSession(g, seed=seed), params, recorder=rec)
-        dist = np.abs(rec.residuals)
+        _, _, _, v, resid = recorded(lg.plane_dynamics, lg.OracleSession(g, seed=seed), params)
+        dist = np.abs(resid)
+        signs = np.where(v[:, :, 1] >= v[:, :, 0], 1, -1)
         for i in range(30):
-            if len(np.unique(rec.signs[:, i])) > 1:
+            if len(np.unique(signs[:, i])) > 1:
                 continue  # preference flipped at least once
             inside = np.nonzero(dist[:, i] <= params.band / 4)[0]
             horizon = inside[0] + 1 if inside.size else dist.shape[0]
             assert np.all(np.diff(dist[:horizon, i]) <= 1e-12)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampling"])
+@pytest.mark.parametrize("dynamics", [lg.plane_dynamics, lg.communication_dynamics,
+                                      lg.curve_dynamics])
+def test_record_sees_every_banded_round_and_leaves_the_report(dynamics, mode):
+    params = lg.DynamicsParams(alpha=0.5)
+    g = lg.gen_linear_influence(8, 2, 1.0, seed=3)
+    _, plain = dynamics(lg.OracleSession(g, seed=3), params, mode=mode, sample_beta=0.4)
+    _, report, p, v, resid = recorded(dynamics, lg.OracleSession(g, seed=3), params,
+                                      mode=mode, sample_beta=0.4)
+    rounds = report.params["rounds"]
+    assert p.shape == resid.shape == (rounds, 8) and v.shape == (rounds, 8, 2)
+    assert np.all(p[0] == 0.5)  # the uniform start
+    assert report.to_json() == plain.to_json()
 
 
 def test_plane_dynamics_sampling_counter_and_completion():
@@ -314,10 +343,18 @@ def test_sampled_dynamics_on_stochastic_utilities():
 # ---------------------------------------------------------------------------
 # general influence budget
 
-def test_curve_target_reduces_to_plane_at_c1():
+def capped_curve(disc, c):
+    """The best-response mass ``_curve_state`` aims for at discrepancy ``disc``."""
+    disc = np.atleast_1d(np.asarray(disc, dtype=float))
+    v = np.column_stack([np.zeros_like(disc), disc])
+    _, pstar, _, _, rho = _curve_state(np.full(disc.shape, 0.5), v, c)
+    return pstar - rho
+
+
+def test_capped_curve_reduces_to_plane_at_c1():
     d = np.linspace(0, 1, 11)
-    assert np.allclose(lg.curve_target(d, 1.0), (1 + d) / 2)
-    d9 = lg.curve_target(0.9, 0.25)
+    assert np.allclose(capped_curve(d, 1.0), (1 + d) / 2)
+    d9 = capped_curve(0.9, 0.25)
     assert d9 == 1.0  # saturation: 1/2 + 0.9/0.5 caps at one
 
 

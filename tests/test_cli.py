@@ -249,6 +249,42 @@ def test_missing_input_file_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+LINEAR6 = {"family": "linear-influence", "params": {"n": 6}}
+
+
+@pytest.mark.parametrize("command,obj,message", [
+    ("run", {"family": LINEAR6, "seeds": [0]}, "config lacks 'algo'"),
+    ("run", {"family": {"family": "linear-influence", "params": {}}, "algo": "plane",
+             "seeds": [0]}, "family params lacks 'n'"),
+    ("run", [{"family": LINEAR6, "algo": "plane", "seeds": [0]}],
+     "config must be a JSON object"),
+    ("run", {"family": LINEAR6, "algo": ["plane"]}, "config 'algo' must be a string"),
+    ("run", {"family": LINEAR6, "algo": "plane", "oracle": "sampling", "beta": "x"},
+     "config 'beta' must be a number or null"),
+    ("run", {"family": LINEAR6, "algo": "plane", "seeds": [0.5]},
+     "config 'seeds' must hold integers"),
+    ("run", {"family": {"family": "linear-influence", "params": {"n": None}}, "algo": "plane",
+             "seeds": [0]}, "family params 'n' must be a number"),
+    ("verify", {"family": "linear-influence", "seed": 1}, "game descriptor lacks 'params'"),
+    ("verify", {"family": "linear-influence", "params": {"n": 6}, "seed": "1"},
+     "game descriptor 'seed' must be an integer"),
+    ("verify", {"n": 1, "k": 2, "payoffs": [0.5, 0.5]}, "tensor game lacks 'c'"),
+])
+def test_malformed_json_is_an_input_error(tmp_path, capsys, command, obj, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    if command == "run":
+        argv = ["run", "--config", str(path)]
+    else:
+        profile_path = tmp_path / "profile.json"
+        profile_path.write_text(json.dumps({"binary": [0.5] * 6}))
+        argv = ["verify", "--game", str(path), "--profile", str(profile_path), "--eps", "0.1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_verify_pass_and_fail(tmp_path):
     game_path = tmp_path / "game.json"
     main(["generate", "--family", "linear-influence", "--n", "8", "--c", "1.0",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import largegames as lg
+from largegames.binary import _curve_state
 
 
 H = 1e-3
@@ -22,6 +23,14 @@ def test_fixed_gap_crossing_time():
     first = tr.first_inside()
     assert np.all(np.abs(first - (0.2 - 2 * H)) <= 2 * H + 1e-12)
     assert tr.stays_inside(0.25)
+
+
+def test_first_inside_is_inf_for_a_player_that_never_enters():
+    tr = lg.Trajectory(times=np.array([0.0, 0.1, 0.2]), v=np.zeros((3, 3, 2)),
+                       p=np.full((3, 3), 0.5), band=0.05,
+                       residual=np.array([[0.0, 0.3, 0.3], [0.2, 0.04, 0.3], [0.0, 0.0, 0.3]]))
+    assert tr.first_inside().tolist() == [0.0, 0.1, np.inf]
+    assert tr.first_inside(tol=0.3).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_reach_and_stay_on_seeded_games():
@@ -54,7 +63,9 @@ def test_curve_flow_matches_plane_flow_at_c1():
 def test_curve_flow_saturation():
     g = lg.IndependentGame(np.tile([0.05, 0.95], (6, 1)), c=0.25)
     tr = lg.simulate_curve_flow(g, 0.25, H, 1.0)
-    assert lg.curve_target(0.9, 0.25) == 1.0
+    toward_one, pstar, line, _, rho = _curve_state(np.array([0.5]),
+                                                   np.array([[0.05, 0.95]]), 0.25)
+    assert toward_one[0] and line[0] > 1.0 and pstar[0] - rho[0] == 1.0  # capped at one
     assert np.all(tr.p[-1] >= 1.0 - tr.band - 1e-12)
 
 

@@ -201,9 +201,14 @@ def test_lower_bound_rejects_small_ell():
 # ---------------------------------------------------------------------------
 # tiny tensor
 
+def tiny_tensor_raw(n, k, seed):
+    """The uniform draw ``gen_tiny_tensor`` rescales."""
+    return np.random.default_rng(seed).random((n,) + (k,) * n)
+
+
 def test_tiny_tensor_unrestricted_at_full_band():
     g = lg.gen_tiny_tensor(2, 2, 1.0, seed=4)
-    assert np.array_equal(g.tensor, g.raw)
+    assert np.array_equal(g.tensor, tiny_tensor_raw(2, 2, seed=4))
     assert g.tensor.min() >= 0 and g.tensor.max() <= 1
 
 
@@ -216,8 +221,9 @@ def test_tiny_tensor_largeness_by_construction():
 
 def test_tiny_tensor_rescale_preserves_best_responses():
     g = lg.gen_tiny_tensor(3, 3, 0.2, seed=11)
+    raw = tiny_tensor_raw(3, 3, seed=11)
     for a_rest in np.ndindex(3, 3):
-        raw_row = [g.raw[(0, j) + a_rest] for j in range(3)]
+        raw_row = [raw[(0, j) + a_rest] for j in range(3)]
         scaled_row = [g.tensor[(0, j) + a_rest] for j in range(3)]
         assert int(np.argmax(raw_row)) == int(np.argmax(scaled_row))
 
