@@ -47,8 +47,8 @@ class DynamicsParams:
     eta: float = 0.1
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and positive")
         if not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
 
@@ -256,10 +256,10 @@ def communication_dynamics(session: OracleSession, params: DynamicsParams,
 
 def curve_band(alpha: float, c: float) -> float:
     """Band half-width whose worst-case regret meets the curve bound + alpha."""
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be positive")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be finite and positive")
     if c <= 2:
         return (math.sqrt(1.0 + 8.0 * alpha / c) - 1.0) / 2.0
     return alpha
@@ -267,7 +267,7 @@ def curve_band(alpha: float, c: float) -> float:
 
 def curve_regret_bound(c: float, alpha: float = 0.0) -> float:
     """Worst-case regret on the curve: c/8 for c <= 2, else 1/2 - 1/(2c)."""
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be positive")
     value = c / 8.0 if c <= 2 else 0.5 - 1.0 / (2.0 * c)
     return value + alpha

@@ -152,6 +152,8 @@ def _load_profile(path: str) -> MixedProfile:
 
 
 def cmd_verify(args) -> int:
+    if not np.isfinite(args.eps):
+        raise ValueError("eps must be finite")
     with open(args.game) as fh:
         game = families.game_from_json(fh.read())
     profile = _load_profile(args.profile)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,10 @@ def _flow(game: Game, rule, step_h: float, horizon: float, tol: float) -> Trajec
     table as estimator and h as step, recording every step and the end."""
     if game.k != 2:
         raise ValueError("the flow is defined for binary games")
+    if not 0.0 < step_h < math.inf:
+        raise ValueError("step_h must be finite and positive")
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError("horizon must be finite and nonnegative")
     steps = int(round(horizon / step_h))
     tr = Trajectory(times=np.arange(steps + 1) * step_h, v=np.empty((steps + 1, game.n, 2)),
                     p=np.empty((steps + 1, game.n)), residual=np.empty((steps + 1, game.n)),
@@ -110,7 +115,7 @@ def simulate_curve_flow(game: Game, c: float, step_h: float = 1e-3,
     the uncapped line it holds still; otherwise it tracks the
     discrepancy derivative scaled by 1/(2c).
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be positive")
     tol = 2.0 * step_h * max(1.0, 1.0 / (2.0 * c))
 

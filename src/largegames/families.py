@@ -14,6 +14,7 @@ import threading
 import numpy as np
 
 from .games import (
+    BATCH_ROWS,
     Game,
     IndependentGame,
     TensorGame,
@@ -63,8 +64,7 @@ class LinearInfluenceGame(Game):
         self.mu = min(1.0, c * (n - 1) / n)
         # action-0 row sums: the batch path adds per-action differences to them
         self._batch_zero = _readonly(w[0].sum(axis=0))
-        self._binary_consts = None  # k = 2 batch operands, built by the first batch
-        self._kaction_consts = None  # k > 2 batch operands, likewise
+        self._operand_cache = None  # batch operands, built by the first batch
         self._scratch = threading.local()  # per-thread k > 2 batch buffers
 
     @property
@@ -78,7 +78,7 @@ class LinearInfluenceGame(Game):
         if k == 2:
             x = np.asarray(actions, dtype=np.float64)  # float 0/1 rows pass without a copy
             # g_j[s, i] = sum_l w[i, l, j, a_sl]; d[j, l, i] = w[i, l, j, 1] - w[i, l, j, 0]
-            d, tiles = self._binary_constants(x.shape[0])
+            d, tiles = self._operands(x.shape[0])
             # Both GEMMs keep these shapes, whole batch by (n, n): OpenBLAS picks its
             # kernel and summation order by shape, so a bias column or a split of
             # the rows would change low bits of the payoffs.
@@ -97,7 +97,7 @@ class LinearInfluenceGame(Game):
         # The gathers run in clip mode, which writes straight into its output (raise
         # mode copies it first); actions are checked against [0, k) where they enter.
         m = actions.shape[0]
-        d, tiles, base = self._kaction_constants(m)
+        d, tiles, base = self._operands(m)
         rows = tiles.shape[1]
         x, prod, idx = self._kaction_scratch(m, rows)
         own = np.empty((m, n)) if out is None else out
@@ -123,57 +123,43 @@ class LinearInfluenceGame(Game):
             got += np.take(base, cell, out=tmp, mode="clip")
         return own
 
-    # Height of the k = 2 constant tiles, one sampling chunk; taller batches are
-    # combined in blocks of this many rows, so the tiles stay this small.
-    _TILE_ROWS = 4096
+    def _operands(self, m: int):
+        """The batch operands of an m-row batch, with (., rows, n) tiles,
+        rows >= min(m, BATCH_ROWS), one sampling chunk at most; taller batches
+        are combined in blocks of the tile height.
 
-    def _binary_constants(self, m: int):
-        """The k = 2 operands of an m-row batch: the contiguous GEMM operand d
-        and (4, rows, n) tiles of g0, g1, b0 and b1 - b0, rows >= min(m, 4096).
+        k = 2: the contiguous GEMM operand d and tiles of g0, g1, b0 and
+        b1 - b0.  numpy runs an elementwise op that broadcasts an (n,) vector
+        over a chunk one row at a time, so the per-player constants come as
+        chunk-shaped tiles.  k > 2: the stacked GEMM operands d[b - 1] =
+        (w[b] - w[0]) as (n, n k), int tiles of the flat product offsets
+        s n k + i k and the row offsets s n k, and (1 - mu) base flattened.
 
-        numpy runs an elementwise op that broadcasts an (n,) vector over a
-        chunk one row at a time, so the per-player constants come as
-        chunk-shaped tiles.  They are built by the first batch and rebuilt only
-        for a taller one; both arrays are read-only and replaced in one
-        assignment, so threads that race here build equal arrays and each
-        computes with its own.
+        The first batch builds them and only a taller one rebuilds them; they
+        are read-only and published in one assignment, so threads that race
+        here build equal arrays and each computes with its own.
         """
-        consts = self._binary_consts
-        rows = min(max(m, 1), self._TILE_ROWS)
-        if consts is not None and consts[1].shape[1] >= rows:
-            return consts
-        w = self._w
-        d = np.ascontiguousarray((w[1] - w[0]).transpose(2, 0, 1))
-        d.setflags(write=False)
-        b0, b1 = self.base[:, 0], self.base[:, 1]
-        tiles = np.empty((4, rows, self.n))
-        for tile, value in zip(tiles, (*self._batch_zero.T, b0, b1 - b0)):
-            tile[...] = value
-        tiles.setflags(write=False)
-        self._binary_consts = consts = (d, tiles)
-        return consts
-
-    def _kaction_constants(self, m: int):
-        """The k > 2 operands of an m-row batch: the stacked GEMM operands
-        d[b - 1] = (w[b] - w[0]) as (n, n k), (2, rows, n) index tiles of the
-        flat product offsets s n k + i k and the row offsets s n k, rows >=
-        min(m, 4096), and (1 - mu) base flattened.  Built, rebuilt and shared
-        across threads like the k = 2 operands of ``_binary_constants``.
-        """
-        consts = self._kaction_consts
-        rows = min(max(m, 1), self._TILE_ROWS)
-        if consts is not None and consts[1].shape[1] >= rows:
-            return consts
-        n, k = self.n, self.k
-        d = (self._w[1:] - self._w[0]).reshape(k - 1, n, n * k)
-        tiles = np.empty((2, rows, n), dtype=np.intp)
-        tiles[1] = np.arange(0, rows * n * k, n * k)[:, None]
-        np.add(tiles[1], np.arange(0, n * k, k), out=tiles[0])
-        base = ((1.0 - self.mu) * self.base).ravel()
-        for arr in (d, tiles, base):
+        ops = self._operand_cache
+        rows = min(max(m, 1), BATCH_ROWS)
+        if ops is not None and ops[1].shape[1] >= rows:
+            return ops
+        n, k, w = self.n, self.k, self._w
+        if k == 2:
+            tiles = np.empty((4, rows, n))
+            b0, b1 = self.base[:, 0], self.base[:, 1]
+            for tile, value in zip(tiles, (*self._batch_zero.T, b0, b1 - b0)):
+                tile[...] = value
+            ops = (np.ascontiguousarray((w[1] - w[0]).transpose(2, 0, 1)), tiles)
+        else:
+            tiles = np.empty((2, rows, n), dtype=np.intp)
+            tiles[1] = np.arange(0, rows * n * k, n * k)[:, None]
+            np.add(tiles[1], np.arange(0, n * k, k), out=tiles[0])
+            ops = ((w[1:] - w[0]).reshape(k - 1, n, n * k), tiles,
+                   ((1.0 - self.mu) * self.base).ravel())
+        for arr in ops:
             arr.setflags(write=False)
-        self._kaction_consts = consts = (d, tiles, base)
-        return consts
+        self._operand_cache = ops
+        return ops
 
     def _kaction_scratch(self, m: int, rows: int):
         """This thread's (mask, product, index) buffers for an m-row k > 2 batch.
@@ -292,22 +278,28 @@ def check_object(obj, keys, what: str, numbers=()):
             raise ValueError(f"{what} {key!r} must be a number")
 
 
-def make_game(family: str, params: dict, seed: int) -> Game:
+def check_family(family: str, params) -> None:
+    """Raise ValueError unless ``family`` is known and ``params`` is a JSON
+    object with a number under "n" and under every other key it sets."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     check_object(params, ("n",), "family params", numbers=("n", "k", "c", "ell", "gamma"))
+
+
+def make_game(family: str, params: dict, seed: int) -> Game:
+    check_family(family, params)
     if family == "linear-influence":
         return gen_linear_influence(int(params["n"]), int(params.get("k", 2)),
                                     float(params.get("c", 1.0)), seed)
     if family == "lower-bound":
         return gen_lower_bound(int(params["n"]), float(params.get("ell", 4.0)), seed)
-    if family == "tiny-tensor":
-        n = int(params["n"])
-        k = int(params.get("k", 2))
-        if "gamma" in params:
-            gamma = float(params["gamma"])
-        else:
-            gamma = float(params.get("c", 1.0)) / n
-        return gen_tiny_tensor(n, k, gamma, seed)
-    raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    n = int(params["n"])  # tiny-tensor
+    k = int(params.get("k", 2))
+    if "gamma" in params:
+        gamma = float(params["gamma"])
+    else:
+        gamma = float(params.get("c", 1.0)) / n
+    return gen_tiny_tensor(n, k, gamma, seed)
 
 
 def descriptor(family: str, params: dict, seed: int) -> dict:

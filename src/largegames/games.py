@@ -12,11 +12,11 @@ All types are immutable after construction and every operation is pure,
 so values can be shared freely across threads.  There are two
 exceptions, both in ``LinearInfluenceGame``'s batch evaluation:
 
-- the derived arrays a game builds lazily on first use: the k = 2 batch
-  operands, and the k > 2 stacked GEMM operands, index tiles and scaled
-  base payoffs.  They are read-only, computed only from the immutable
-  fields and published by a single attribute assignment, so two threads
-  that race there build equal arrays twice and each computes with its own;
+- its one operand cache, which the first batch builds: the GEMM operands
+  and chunk-high constant tiles (and for k > 2 the scaled base payoffs).
+  The arrays are read-only, computed only from the immutable fields and
+  published by a single attribute assignment, so two threads that race
+  there build equal arrays twice and each computes with its own;
 - the k > 2 kernel's scratch buffers (mask, product, index), which are
   held per thread in a ``threading.local``, so each thread writes only
   its own.
@@ -35,7 +35,7 @@ SUPPORT_EPS = 1e-12          # probability mass below this does not count as sup
 PROB_TOL = 1e-12             # tolerance for "rows sum to one"
 LARGENESS_TOL = 1e-12
 ENUMERATION_GUARD = 2 ** 24  # max joint opponent support for brute-force expectation
-BATCH_ROWS = 4096            # pure profiles per payoffs_batch call in the verifier loops
+BATCH_ROWS = 4096            # pure profiles per verifier batch and per sampling chunk
 
 
 class CapabilityError(RuntimeError):

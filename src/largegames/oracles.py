@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game, as_pure_profile
+from .games import BATCH_ROWS, Game, as_pure_profile
 
 
 def binary_sample_count(beta: float, delta: float, n: int) -> int:
@@ -108,8 +108,7 @@ class OracleSession:
         self.pure_queries = 0
         self.qm_calls = 0
         self._trace = open(trace_path, "w") if trace_path else None
-        self._binary_chunk = None  # (actions, payoffs, p_one rows): binary sampling buffers
-        self._kaction_chunk = None  # k-action sampling buffers, see _kaction_buffers
+        self._buffers = None  # one sampling chunk's arrays, see _chunk_buffers
 
     def _check_shape(self, probs: np.ndarray):
         shape = (self.game.n, self.game.k)
@@ -137,10 +136,10 @@ class OracleSession:
 
     # -- sampled mixed estimates ---------------------------------------
 
-    # Rows per sampling block.  The per-player sums of each block are added
-    # across blocks, so the block size fixes the rounding of every estimate:
+    # Rows per sampling chunk.  The per-player sums of each chunk are added
+    # across chunks, so the chunk size fixes the rounding of every estimate:
     # another size gives other low bits.
-    _CHUNK = 4096
+    _CHUNK = BATCH_ROWS
 
     def sample_mixed_binary(self, probs: np.ndarray, beta: float, delta: float) -> MixedEstimate:
         """Estimate E[u_i(j, .)] by sampling pure profiles from the blend of ``probs``."""
@@ -150,18 +149,8 @@ class OracleSession:
         n_queries = binary_sample_count(beta, delta, self.game.n)
         p_one = blend_binary(probs[:, 1], beta)
         p_prime = np.column_stack([1.0 - p_one, p_one])
-        if self._binary_chunk is None:
-            shape = (self._CHUNK, self.game.n)
-            self._binary_chunk = (np.empty(shape), np.empty(shape), np.empty(shape))
-        x, payoffs, p_rows = self._binary_chunk
-        p_rows[...] = p_one  # chunk-shaped, so the comparison runs without broadcasting
-
-        def draw(m):
-            # the uniform draws are compared in place, leaving 0.0/1.0 actions in x
-            self.rng.random(out=x[:m])
-            return np.less(x[:m], p_rows[:m], out=x[:m])
-
-        return self._estimate_from_queries(n_queries, draw, p_prime, beta, delta, payoffs)
+        # action 1 where the uniform draw is below p'_1
+        return self._sample_estimate(n_queries, p_prime, p_one[None], np.less, beta, delta)
 
     def sample_mixed_kaction(self, probs: np.ndarray, beta: float, delta: float) -> MixedEstimate:
         n, k = self.game.n, self.game.k
@@ -170,46 +159,40 @@ class OracleSession:
         self._check_shape(probs)
         n_queries = kaction_sample_count(beta, delta, n, k)
         p_prime = blend_kaction(probs, beta)
-        if self._kaction_chunk is None:
-            self._kaction_chunk = self._kaction_buffers()
-        u, cdf, payoffs, actions, mask, offsets, index = self._kaction_chunk
-        cdf[...] = np.cumsum(p_prime, axis=1).T[:-1, None, :]  # chunk-shaped, as for binary
+        # action = how many of the first k - 1 cdf entries the uniform draw exceeds
+        cdf = np.cumsum(p_prime, axis=1).T[:-1]
+        return self._sample_estimate(n_queries, p_prime, cdf, np.greater, beta, delta)
 
-        def draw(m):
-            # action = how many of the first k - 1 cdf entries the uniform draw exceeds
-            x = self.rng.random(out=u[:m])
-            if k == 2:  # 0.0/1.0 rows in place, as the binary draw leaves them
-                return np.greater(x, cdf[0, :m], out=x)
-            a = np.greater(x, cdf[0, :m], out=actions[:m])
-            for j in range(1, k - 1):
-                a += np.greater(x, cdf[j, :m], out=mask[:m])
-            return a
-
-        return self._estimate_from_queries(n_queries, draw, p_prime, beta, delta, payoffs,
-                                           (offsets, index))
-
-    def _kaction_buffers(self):
-        """Chunk buffers of ``sample_mixed_kaction``: uniforms, cdf tiles and
-        payoffs, and for k > 2 the int8 actions, the comparison mask, and the
-        cell offsets i k and flat cell index of the reduction (None for k = 2)."""
+    def _chunk_buffers(self):
+        """One sampling chunk's arrays, built by the first estimate: uniforms,
+        (k - 1, chunk, n) threshold tiles and payoffs, and for k > 2 the int8
+        actions, the comparison mask, and the cell offsets i k and flat cell
+        index of the reduction (None for k = 2)."""
+        if self._buffers is not None:
+            return self._buffers
         n, k = self.game.n, self.game.k
         shape = (self._CHUNK, n)
         buffers = (np.empty(shape), np.empty((k - 1,) + shape), np.empty(shape))
         if k == 2:
-            return buffers + (None,) * 4
-        offsets = np.empty(shape, dtype=np.intp)
-        offsets[...] = np.arange(0, n * k, k)
-        return buffers + (np.empty(shape, dtype=np.int8), np.empty(shape, dtype=np.bool_),
-                          offsets, np.empty(shape, dtype=np.intp))
+            buffers += (None,) * 4
+        else:
+            offsets = np.empty(shape, dtype=np.intp)
+            offsets[...] = np.arange(0, n * k, k)
+            buffers += (np.empty(shape, dtype=np.int8), np.empty(shape, dtype=np.bool_),
+                        offsets, np.empty(shape, dtype=np.intp))
+        self._buffers = buffers
+        return buffers
 
-    def _estimate_from_queries(self, n_queries, draw, p_prime, beta, delta, payoff_buffer,
-                               cells=None) -> MixedEstimate:
+    def _sample_estimate(self, n_queries, p_prime, thresholds, compare, beta,
+                         delta) -> MixedEstimate:
         """Draw, answer and reduce ``n_queries`` pure queries chunk by chunk.
 
-        ``payoff_buffer`` holds one chunk of answers; for k > 2, ``cells`` is the
-        (offsets, index) pair of (chunk, n) int arrays the cell indices go through.
+        Player i's uniform draw u plays the number of rows t of the (k - 1, n)
+        ``thresholds`` for which ``compare(u, t[i])`` holds.
         """
         n, k = self.game.n, self.game.k
+        u, tiles, payoff_rows, int_rows, mask, offsets, index = self._chunk_buffers()
+        tiles[...] = thresholds[:, None, :]  # chunk-shaped, so no comparison broadcasts
         counts = np.zeros((n, k))
         sums = np.zeros((n, k))
         if k == 2:
@@ -217,8 +200,14 @@ class OracleSession:
         done = 0
         while done < n_queries:
             m = min(self._CHUNK, n_queries - done)
-            actions = draw(m)
-            payoffs = self._pure_batch(actions, payoff_buffer[:m])
+            x = self.rng.random(out=u[:m])
+            if k == 2:  # compared in place, leaving 0.0/1.0 actions in x
+                actions = compare(x, tiles[0, :m], out=x)
+            else:
+                actions = compare(x, tiles[0, :m], out=int_rows[:m])
+                for j in range(1, k - 1):
+                    actions += compare(x, tiles[j, :m], out=mask[:m])
+            payoffs = self._pure_batch(actions, payoff_rows[:m])
             if k == 2:
                 # einsum adds the payoff rows in the order of sum(axis=0) without
                 # its per-row inner loops.  The counts are sums of 0.0/1.0, exact in
@@ -232,7 +221,6 @@ class OracleSession:
                 sums[:, 0] += np.einsum("sn->n", payoffs) - paid_ones
             else:
                 # flat index of cell (i, a_si); bincount adds each cell's payoffs in row order
-                offsets, index = cells
                 cell = index[:m]
                 np.copyto(cell, actions)  # a cast copy, then an add without a cast buffer
                 cell += offsets[:m]

@@ -134,8 +134,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algo not in ALGOS:
             raise ValueError(f"unknown algorithm {self.algo!r}")
-        if self.family.get("family") not in families.FAMILIES:
-            raise ValueError(f"unknown family {self.family.get('family')!r}")
+        families.check_family(self.family.get("family"), self.family.get("params", {}))
         if self.oracle not in ("exact", "sampling"):
             raise ValueError("oracle must be 'exact' or 'sampling'")
         if ALGOS[self.algo].exact_only and self.oracle != "exact":

@@ -20,7 +20,7 @@ import pytest
 import largegames as lg
 from largegames import oracles
 from largegames.families import LinearInfluenceGame
-from largegames.games import IndependentGame, TensorGame
+from largegames.games import BATCH_ROWS, IndependentGame, TensorGame
 from references import linear_payoffs, reference_reduce
 
 NS = (2, 7, 10, 20, 100)
@@ -147,9 +147,9 @@ def test_session_reuses_its_buffers_across_estimates():
     game = lg.gen_linear_influence(6, 2, 1.0, seed=0)
     session = lg.OracleSession(game, seed=0)
     first = session.sample_mixed_binary(lg.MixedProfile.uniform(6).probs, 0.5, 0.5)
-    buffers = session._binary_chunk
+    buffers = session._buffers
     second = session.sample_mixed_binary(random_profile(6, 2).probs, 0.5, 0.5)
-    assert all(a is b for a, b in zip(session._binary_chunk, buffers))
+    assert all(a is b for a, b in zip(session._buffers, buffers))
     # estimates hold their own arrays, not views of the buffers
     assert not any(np.shares_memory(arr, buf) for buf in buffers
                    for est in (first, second) for arr in (est.values, est.counts))
@@ -224,9 +224,9 @@ def test_trace_lines_carry_integer_profiles(monkeypatch, tmp_path):
 
 def test_constant_tiles_follow_the_batch_height():
     game = lg.gen_linear_influence(10, 2, 1.0, seed=3)
-    assert game._binary_consts is None  # exact-only games never build them
+    assert game._operand_cache is None  # exact-only games never build them
     game.mixed_payoff_table(lg.MixedProfile.uniform(10).probs)
-    assert game._binary_consts is None
+    assert game._operand_cache is None
     rng = np.random.default_rng(5)
     for rows in (1, 17, 4096, 5000):
         a = rng.integers(0, 2, size=(rows, 10)).astype(np.int8)
@@ -234,9 +234,9 @@ def test_constant_tiles_follow_the_batch_height():
         got = game.payoffs_batch(a.astype(np.float64))
         assert np.array_equal(got, fresh.payoffs_batch(a.astype(np.float64)))
         assert np.array_equal(got, linear_payoffs(game, a))
-        d, tiles = game._binary_consts
+        d, tiles = game._operand_cache
         # taller batches than a sampling chunk are combined in chunk-high blocks
-        assert tiles.shape == (4, min(rows, LinearInfluenceGame._TILE_ROWS), 10)
+        assert tiles.shape == (4, min(rows, BATCH_ROWS), 10)
     assert not d.flags.writeable and not tiles.flags.writeable
 
 

@@ -269,6 +269,11 @@ LINEAR6 = {"family": "linear-influence", "params": {"n": 6}}
     ("verify", {"family": "linear-influence", "params": {"n": 6}, "seed": "1"},
      "game descriptor 'seed' must be an integer"),
     ("verify", {"n": 1, "k": 2, "payoffs": [0.5, 0.5]}, "tensor game lacks 'c'"),
+    # without seeds no game is built, so the config itself must be checked
+    ("run", {"family": {"family": "linear-influence", "params": {}}, "algo": "plane"},
+     "family params lacks 'n'"),
+    ("run", {"family": {"family": "linear-influence", "params": {"n": "x"}}, "algo": "plane"},
+     "family params 'n' must be a number"),
 ])
 def test_malformed_json_is_an_input_error(tmp_path, capsys, command, obj, message):
     path = tmp_path / "input.json"
@@ -283,6 +288,38 @@ def test_malformed_json_is_an_input_error(tmp_path, capsys, command, obj, messag
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--algo", "plane", "--alpha", "inf"], "alpha must be finite and positive"),
+    (["run", "--algo", "plane", "--alpha", "nan"], "alpha must be finite and positive"),
+    (["run", "--algo", "curve", "--alpha=-inf"], "alpha must be finite and positive"),
+    (["run", "--algo", "plane-flow", "--step-h", "0"], "step_h must be finite and positive"),
+    (["run", "--algo", "plane-flow", "--step-h", "-0.01"], "step_h must be finite and positive"),
+    (["run", "--algo", "curve-flow", "--step-h", "nan"], "step_h must be finite and positive"),
+    (["run", "--algo", "plane-flow", "--horizon", "-1"], "horizon must be finite and nonnegative"),
+    (["run", "--algo", "curve-flow", "--horizon", "inf"],
+     "horizon must be finite and nonnegative"),
+    (["verify", "--eps", "nan"], "eps must be finite"),
+])
+def test_non_finite_or_zero_numbers_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    if argv[0] == "run":
+        argv = argv + ["--n", "6", "--seeds", "0:1"]
+    else:
+        game_path, profile_path = tmp_path / "game.json", tmp_path / "profile.json"
+        assert main(["generate", "--n", "4", "--out", str(game_path)]) == 0
+        profile_path.write_text(json.dumps({"binary": [0.5] * 4}))
+        argv = argv + ["--game", str(game_path), "--profile", str(profile_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_horizon_zero_runs_one_flow_step(capsys):
+    assert main(["run", "--algo", "plane-flow", "--n", "6", "--seeds", "0:1",
+                 "--horizon", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["rounds"] == 0
 
 
 def test_verify_pass_and_fail(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import largegames as lg
-from largegames import families
+from largegames import binary, blocks, continuous, families, oracles, runner
 from references import pairwise_payoffs
 
 
@@ -135,9 +135,20 @@ def test_linear_influence_rejects_bad_payoff_entries(part, index, value, message
 
 
 def test_linear_influence_kernels_are_patchable_class_attributes():
-    # the benchmark tracer wraps these through vars(LinearInfluenceGame)
-    assert "mixed_payoff_table" in vars(lg.LinearInfluenceGame)
-    assert "payoffs_batch" in vars(lg.LinearInfluenceGame)
+    # the benchmark tracer wraps each of these through vars(owner)
+    patched = {
+        lg.LinearInfluenceGame: ("payoffs_batch", "mixed_payoff_table"),
+        oracles.OracleSession: ("sample_mixed_binary", "sample_mixed_kaction", "exact_mixed"),
+        binary: ("one_step", "two_step", "plane_dynamics", "communication_dynamics",
+                 "curve_dynamics", "build_report"),
+        blocks: ("block_update", "build_report"),
+        continuous: ("simulate_plane_flow", "simulate_curve_flow"),
+        families: ("make_game",),
+        runner: ("build_report", "run_one"),
+    }
+    for owner, attrs in patched.items():
+        for attr in attrs:
+            assert callable(vars(owner).get(attr)), (owner, attr)
 
 
 def test_generators_are_pure_functions_of_seed():

@@ -157,7 +157,7 @@ def test_whole_estimate_with_partial_last_chunk_matches_mask_reference():
 
 
 def chunk_buffers(session):
-    return [buf for buf in session._kaction_chunk if buf is not None]
+    return [buf for buf in session._buffers if buf is not None]
 
 
 @pytest.mark.parametrize("k", (2, 3))
@@ -166,10 +166,10 @@ def test_session_reuses_its_buffers_across_estimates(k):
     session = lg.OracleSession(game, seed=0)
     first = session.sample_mixed_kaction(lg.MixedProfile.uniform(6, k).probs, 0.5, 0.5)
     buffers = chunk_buffers(session)
-    consts = game._binary_consts if k == 2 else game._kaction_consts
+    consts = game._operand_cache
     second = session.sample_mixed_kaction(random_profile(6, k, seed=2).probs, 0.5, 0.5)
     assert all(a is b for a, b in zip(chunk_buffers(session), buffers))
-    assert (game._binary_consts if k == 2 else game._kaction_consts) is consts
+    assert game._operand_cache is consts
     # estimates hold their own arrays, not views of the buffers
     assert not any(np.shares_memory(arr, buf) for buf in buffers
                    for est in (first, second) for arr in (est.values, est.counts, est.p_prime))
