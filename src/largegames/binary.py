@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .games import MixedProfile
+from .games import MixedProfile, binary_probs
 from .oracles import OracleSession
 from .reports import build_report
 
@@ -31,6 +31,12 @@ BAD_REGRET = 0.12  # plane states with best-response mass in [0.7, 0.8]
 def plane_residual(v1, v0, p):
     """Signed distance-like residual; zero exactly on the plane."""
     return p - PLANE_OFFSET - (np.asarray(v1) - np.asarray(v0)) / 2.0
+
+
+def _clip(x, lo, hi):
+    """``np.clip(x, lo, hi)`` in place, bit for bit, without its Python wrapper."""
+    np.maximum(lo, x, out=x)  # x second: kept on a tie (-0.0 against 0.0), as np.clip keeps it
+    return np.minimum(hi, x, out=x)
 
 
 @dataclass(frozen=True)
@@ -84,10 +90,8 @@ class BadGoodLabels:
 
 
 def label_bad_players(vhat: np.ndarray, p_one: np.ndarray) -> BadGoodLabels:
-    disc = np.abs(vhat[:, 1] - vhat[:, 0])
-    pstar = np.where(vhat[:, 1] >= vhat[:, 0], p_one, 1.0 - p_one)
-    est_regret = disc * (1.0 - pstar)
-    bad = est_regret >= BAD_REGRET
+    _, pstar, _, disc, _ = _curve_state(p_one, vhat, 1.0)
+    bad = disc * (1.0 - pstar) >= BAD_REGRET  # estimated regret
     return BadGoodLabels(bad=bad, theta=float(bad.mean()))
 
 
@@ -105,10 +109,9 @@ class _MixedEstimator:
         self.delta = delta
 
     def __call__(self, p_one: np.ndarray) -> np.ndarray:
-        probs = np.column_stack([1.0 - p_one, p_one])
         if self.mode == "exact":
-            return self.session.exact_mixed(probs)
-        return self.session.sample_mixed_binary(probs, self.beta, self.delta).values
+            return self.session.exact_mixed(binary_probs(p_one))
+        return self.session.sample_mixed_binary(binary_probs(p_one), self.beta, self.delta).values
 
 
 def one_step(session: OracleSession, alpha: float = ONE_STEP_ALPHA,
@@ -150,15 +153,16 @@ def _banded_rounds(est, rule, p, v_prev, v, rounds, record=None):
 
     Each round ``rule(p, v, v_prev)`` turns the estimates at p and at the
     round before into the next p (a step toward the target set off the
-    band, payoff tracking inside it) and the residual to the target;
-    ``record`` sees the state the round starts from.  The next estimate is
-    taken at the clipped p except after the last round.  Returns (p, last v).
+    band, payoff tracking inside it) as a new array, which is clipped in
+    place, and the residual to the target; ``record`` sees the state the
+    round starts from.  The next estimate is taken at the clipped p except
+    after the last round.  Returns (p, last v).
     """
     for r in range(rounds):
         p_next, resid = rule(p, v, v_prev)
         if record is not None:
             record(p, v, resid)
-        p, v_prev = np.clip(p_next, 0.0, 1.0), v
+        p, v_prev = _clip(p_next, 0.0, 1.0), v
         if r + 1 < rounds:
             v = est(p)
     return p, v_prev
@@ -172,12 +176,12 @@ def _plane_rule(step: float, bad: np.ndarray | None = None):
     def rule(p, v, v_prev):
         resid = plane_residual(v[:, 1], v[:, 0], p)
         dv = v - v_prev
-        tracking = (dv[:, 1] - dv[:, 0]) / 2.0
-        if bad is None:
-            move = np.where(np.abs(resid) > step, -np.sign(resid) * step, tracking)
+        move = (dv[:, 1] - dv[:, 0]) / 2.0  # tracking
+        if bad is None:  # off the band resid != 0, so -sign(resid) step is a copysign
+            np.putmask(move, np.abs(resid) > step, np.copysign(step, -resid))
         else:
-            move = np.where(bad, np.where(v[:, 1] >= v[:, 0], 1.0, -1.0) * step, tracking)
-        return p + move, resid
+            np.putmask(move, bad, np.where(v[:, 1] >= v[:, 0], step, -step))
+        return np.add(p, move, out=move), resid
     return rule
 
 
@@ -276,10 +280,10 @@ def curve_regret_bound(c: float, alpha: float = 0.0) -> float:
 def _curve_state(p, v, c: float):
     """Best-response direction, best-response mass, the uncapped line
     1/2 + D/(2c), the discrepancy D and the residual to the capped curve."""
-    disc = np.abs(v[:, 1] - v[:, 0])
-    toward_one = v[:, 1] >= v[:, 0]
+    disc = v[:, 1] - v[:, 0]
+    toward_one = disc >= 0.0  # v1 >= v0: a difference of finite floats is 0 only on a tie
     pstar = np.where(toward_one, p, 1.0 - p)
-    line = 0.5 + disc / (2.0 * c)
+    line = 0.5 + np.abs(disc, out=disc) / (2.0 * c)
     return toward_one, pstar, line, disc, pstar - np.minimum(line, 1.0)
 
 
@@ -287,11 +291,11 @@ def _curve_rule(c: float, step: float):
     def rule(p, v, v_prev):
         toward_one, pstar, line, disc, rho = _curve_state(p, v, c)
         d_disc = disc - np.abs(v_prev[:, 1] - v_prev[:, 0])
+        new_pstar = _clip(pstar + d_disc / (2.0 * c), 0.0, 1.0)  # track, unless held or climbing
+        np.copyto(new_pstar, pstar, where=pstar > line + step)
         climb = np.minimum(pstar + step, np.minimum(line, 1.0))
-        track = np.clip(pstar + d_disc / (2.0 * c), 0.0, 1.0)
-        new_pstar = np.where((line >= 1.0) | (rho < -step), climb,
-                             np.where(pstar > line + step, pstar, track))
-        return np.where(toward_one, new_pstar, 1.0 - new_pstar), rho
+        np.copyto(new_pstar, climb, where=(line >= 1.0) | (rho < -step))
+        return np.subtract(1.0, new_pstar, out=new_pstar, where=~toward_one), rho
     return rule
 
 

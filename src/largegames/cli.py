@@ -73,6 +73,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.downsample < 1:  # before any run or output file
+        raise ValueError("downsample factor must be >= 1")
     if args.config:
         with open(args.config) as fh:
             config = runner.ExperimentConfig.from_dict(json.load(fh))

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game
-from .binary import _banded_rounds, _curve_state, plane_residual
+from .games import Game, binary_probs
+from .binary import _banded_rounds, _clip, _curve_state, plane_residual
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def _flow(game: Game, rule, step_h: float, horizon: float, tol: float) -> Trajec
         m = next(rows)
         tr.v[m], tr.p[m], tr.residual[m] = v, p, resid
 
-    est = lambda p_one: game.mixed_payoff_table(np.column_stack([1.0 - p_one, p_one]))
+    est = lambda p_one: game.mixed_payoff_table(binary_probs(p_one))
     p = np.full(game.n, 0.5)
     v = est(p)
     p, v_prev = _banded_rounds(est, rule, p, v, v, steps, record)
@@ -101,8 +101,10 @@ def simulate_plane_flow(game: Game, step_h: float = 1e-3, horizon: float = 1.0) 
     def rule(p, v, v_prev):
         d = plane_residual(v[:, 1], v[:, 0], p)
         vdot = (v - v_prev) / step_h
-        tracking = np.clip((vdot[:, 1] - vdot[:, 0]) / 2.0, -1.0, 1.0)
-        return p + step_h * np.where(np.abs(d) > tol, -np.sign(d), tracking), d
+        rate = _clip((vdot[:, 1] - vdot[:, 0]) / 2.0, -1.0, 1.0)  # tracking
+        np.putmask(rate, np.abs(d) > tol, np.copysign(1.0, -d))  # -sign(d), as d != 0
+        rate *= step_h
+        return np.add(p, rate, out=rate), d
 
     return _flow(game, rule, step_h, horizon, tol)
 
@@ -122,9 +124,10 @@ def simulate_curve_flow(game: Game, c: float, step_h: float = 1e-3,
     def rule(p, v, v_prev):
         toward_one, pstar, line, disc, rho = _curve_state(p, v, c)
         ddot = (disc - np.abs(v_prev[:, 1] - v_prev[:, 0])) / step_h
-        tracking = np.clip(ddot / (2.0 * c), -1.0, 1.0)
-        pstar_dot = np.where(rho < -tol, 1.0,
-                             np.where((rho > tol) & (pstar > line), 0.0, tracking))
-        return p + step_h * np.where(toward_one, pstar_dot, -pstar_dot), rho
+        rate = _clip(ddot / (2.0 * c), -1.0, 1.0)  # tracking, unless held or climbing
+        rate[(rho > tol) & (pstar > line)] = 0.0
+        rate[rho < -tol] = 1.0
+        rate *= np.where(toward_one, step_h, -step_h)  # the move of p, not of p*
+        return np.add(p, rate, out=rate), rho
 
     return _flow(game, rule, step_h, horizon, tol)

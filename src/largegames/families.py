@@ -35,12 +35,13 @@ class LinearInfluenceGame(Game):
     The game holds one read-only weight array in opponent-action-major
     order, ``_w[b, l, i, j] = w[i, l, j, b]`` (shape (k, n, n, k)): player
     i's weight for own action j against opponent l playing b.  ``weights``
-    is the (i, l, j, b) view of it.  The exact table sums the per-opponent
-    action terms ``_w[b] * p_l(b)`` over b (even b, then odd b, then the
-    two partial sums) and then over opponents l in index order.  That is
-    the order of ``np.einsum("iljb,lb->ij", weights, probs)``, so the table
-    equals it bit for bit for k <= 7 (checked with numpy 2.4); for larger
-    k einsum groups the terms differently and the two agree to rounding.
+    is the (i, l, j, b) view of it.  The exact table is one product of the
+    (k, n, n k) reshape of _w with p_l(b), summed in place over b (even b,
+    odd b, then the two partial sums), then over opponents l in index order,
+    scaled by mu / (n - 1) and added to the (1 - mu) base cached at
+    construction.  That is the order of ``np.einsum("iljb,lb->ij", weights,
+    probs)``, bit for bit for k <= 7 (checked with numpy 2.4, n <= 100); for
+    larger k einsum groups the terms differently and they agree to rounding.
     """
 
     def __init__(self, base: np.ndarray, weights: np.ndarray, c: float):
@@ -62,6 +63,7 @@ class LinearInfluenceGame(Game):
         self.n, self.k = n, k
         self.c = float(c)
         self.mu = min(1.0, c * (n - 1) / n)
+        self._scaled_base = _readonly((1.0 - self.mu) * base)  # the own-action term
         # action-0 row sums: the batch path adds per-action differences to them
         self._batch_zero = _readonly(w[0].sum(axis=0))
         self._operand_cache = None  # batch operands, built by the first batch
@@ -133,7 +135,7 @@ class LinearInfluenceGame(Game):
         over a chunk one row at a time, so the per-player constants come as
         chunk-shaped tiles.  k > 2: the stacked GEMM operands d[b - 1] =
         (w[b] - w[0]) as (n, n k), int tiles of the flat product offsets
-        s n k + i k and the row offsets s n k, and (1 - mu) base flattened.
+        s n k + i k and the row offsets s n k, and the scaled base flattened.
 
         The first batch builds them and only a taller one rebuilds them; they
         are read-only and published in one assignment, so threads that race
@@ -154,8 +156,7 @@ class LinearInfluenceGame(Game):
             tiles = np.empty((2, rows, n), dtype=np.intp)
             tiles[1] = np.arange(0, rows * n * k, n * k)[:, None]
             np.add(tiles[1], np.arange(0, n * k, k), out=tiles[0])
-            ops = ((w[1:] - w[0]).reshape(k - 1, n, n * k), tiles,
-                   ((1.0 - self.mu) * self.base).ravel())
+            ops = ((w[1:] - w[0]).reshape(k - 1, n, n * k), tiles, self._scaled_base.ravel())
         for arr in ops:
             arr.setflags(write=False)
         self._operand_cache = ops
@@ -195,11 +196,14 @@ class LinearInfluenceGame(Game):
         own += base
 
     def mixed_payoff_table(self, probs: np.ndarray) -> np.ndarray:
-        w = self._w
-        terms = [w[b] * probs[:, b][:, None, None] for b in range(self.k)]
-        # einsum's order: even actions, odd actions, the two sums, then opponents
-        mixed = (sum(terms[2::2], terms[0]) + sum(terms[3::2], terms[1])).sum(axis=0)
-        return (1.0 - self.mu) * self.base + self.mu / (self.n - 1) * mixed
+        n, k = self.n, self.k
+        terms = np.multiply(self._w.reshape(k, n, n * k), probs.T[:, :, None])
+        for b in range(2, k):  # einsum's order: even b, odd b, the two sums, opponents
+            terms[b % 2] += terms[b]
+        terms[0] += terms[1]
+        mixed = np.add.reduce(terms[0], axis=0).reshape(n, k)
+        mixed *= self.mu / (n - 1)
+        return np.add(mixed, self._scaled_base, out=mixed)
 
 
 def gen_linear_influence(n: int, k: int, c: float, seed: int) -> LinearInfluenceGame:

@@ -48,6 +48,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def binary_probs(p_one: np.ndarray) -> np.ndarray:
+    """The (n, 2) probabilities [1 - p, p] of a float vector of P[action 1]."""
+    probs = np.empty((p_one.shape[0], 2))
+    np.subtract(1.0, p_one, out=probs[:, 0])
+    probs[:, 1] = p_one
+    return probs
+
+
 @dataclass(frozen=True)
 class MixedProfile:
     """Per-player probability vectors over the k actions.
@@ -92,8 +100,7 @@ class MixedProfile:
             raise ValueError("binary profile vector must be 1-d")
         if np.any(p < -PROB_TOL) or np.any(p > 1.0 + PROB_TOL):
             raise ValueError("binary probabilities must lie in [0, 1]")
-        p = np.clip(p, 0.0, 1.0)
-        return cls(np.column_stack([1.0 - p, p]))
+        return cls(binary_probs(np.clip(p, 0.0, 1.0)))
 
     @classmethod
     def pure(cls, actions, k: int) -> "MixedProfile":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import BATCH_ROWS, Game, as_pure_profile
+from .games import BATCH_ROWS, Game, as_pure_profile, binary_probs
 
 
 def binary_sample_count(beta: float, delta: float, n: int) -> int:
@@ -148,7 +148,7 @@ class OracleSession:
         self._check_shape(probs)
         n_queries = binary_sample_count(beta, delta, self.game.n)
         p_one = blend_binary(probs[:, 1], beta)
-        p_prime = np.column_stack([1.0 - p_one, p_one])
+        p_prime = binary_probs(p_one)
         # action 1 where the uniform draw is below p'_1
         return self._sample_estimate(n_queries, p_prime, p_one[None], np.less, beta, delta)
 

@@ -316,6 +316,17 @@ def test_non_finite_or_zero_numbers_exit_2_with_one_line(tmp_path, capsys, argv,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("factor", ["0", "-1"])
+def test_bad_downsample_exits_2_before_any_output(tmp_path, capsys, factor):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--algo", "plane-flow", "--n", "6", "--downsample", factor,
+                 "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: downsample factor must be >= 1\n"
+    assert captured.out == ""
+    assert not out_dir.exists()  # checked before the output directory is made
+
+
 def test_horizon_zero_runs_one_flow_step(capsys):
     assert main(["run", "--algo", "plane-flow", "--n", "6", "--seeds", "0:1",
                  "--horizon", "0"]) == 0

@@ -70,10 +70,10 @@ def _profiles(n, k, rng):
     yield random / random.sum(axis=1, keepdims=True)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
 def test_linear_influence_table_is_the_einsum_bit_for_bit(k):
     rng = np.random.default_rng(k)
-    for n in (2, 7, 20, 50):
+    for n in (2, 7, 20, 50, 100):
         g = lg.gen_linear_influence(n, k, 1.0, seed=n)
         # einsum's summation order depends on strides: use the (i, l, j, b) layout
         weights = np.ascontiguousarray(g.weights)
