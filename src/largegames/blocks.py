@@ -11,6 +11,7 @@ against brute force in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +100,8 @@ def block_update_bound(c: float, k: int, blocks: int | None = None,
     ``blocks=None`` gives the horizon limit.  A positive sampling error
     alpha inflates the bound by alpha/(2c) inside the horizon factor.
     """
-    if c <= 0 or k < 2 or (blocks is not None and blocks < 1):
-        raise ValueError("need c > 0, k >= 2, blocks >= 1")
+    if not 0.0 < c < math.inf or k < 2 or (blocks is not None and blocks < 1):
+        raise ValueError("need a finite c > 0, k >= 2, blocks >= 1")
     if sampling_error < 0:
         raise ValueError("sampling error must be nonnegative")
     horizon = 1.0 + (0.0 if blocks is None else 1.0 / blocks) + sampling_error / (2.0 * c)

@@ -18,6 +18,7 @@ from .games import (
     Game,
     IndependentGame,
     TensorGame,
+    _check_budget,
     _readonly,
 )
 from .oracles import StochasticGame
@@ -48,6 +49,8 @@ class LinearInfluenceGame(Game):
         base = np.asarray(base, dtype=float)
         weights = np.asarray(weights, dtype=float)
         n, k = base.shape
+        if n < 2:
+            raise ValueError("a linear-influence game needs n >= 2 players")
         if weights.shape != (n, n, k, k):
             raise ValueError("weights must have shape (n, n, k, k)")
         for name, arr in (("base payoffs", base), ("weights", weights)):
@@ -61,8 +64,8 @@ class LinearInfluenceGame(Game):
         self.base = _readonly(base)
         self._w = w
         self.n, self.k = n, k
-        self.c = float(c)
-        self.mu = min(1.0, c * (n - 1) / n)
+        self.c = _check_budget(c)
+        self.mu = min(1.0, self.c * (n - 1) / n)
         self._scaled_base = _readonly((1.0 - self.mu) * base)  # the own-action term
         # action-0 row sums: the batch path adds per-action differences to them
         self._batch_zero = _readonly(w[0].sum(axis=0))
@@ -75,60 +78,64 @@ class LinearInfluenceGame(Game):
         return self._w.transpose(2, 1, 3, 0)
 
     def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        n, k = self.n, self.k
-        scale = self.mu / (n - 1)
+        out = np.empty((actions.shape[0], self.n)) if out is None else out
+        for lo in range(0, actions.shape[0], BATCH_ROWS):  # one sampling chunk at a time
+            self._chunk_payoffs(actions[lo:lo + BATCH_ROWS], out[lo:lo + BATCH_ROWS])
+        return out
+
+    def _chunk_payoffs(self, actions: np.ndarray, out: np.ndarray) -> None:
+        """Write the payoffs of at most ``BATCH_ROWS`` rows into ``out``.
+
+        Each GEMM takes the whole chunk.  OpenBLAS picks its kernel, summation order
+        and thread split by shape, so a row's low bits depend on the GEMM it is in;
+        the pinned estimates were recorded one GEMM per sampling chunk, and a bias
+        column or a finer split of the rows may change them."""
+        n, k, m = self.n, self.k, actions.shape[0]
         if k == 2:
             x = np.asarray(actions, dtype=np.float64)  # float 0/1 rows pass without a copy
             # g_j[s, i] = sum_l w[i, l, j, a_sl]; d[j, l, i] = w[i, l, j, 1] - w[i, l, j, 0]
-            d, tiles = self._operands(x.shape[0])
-            # Both GEMMs keep these shapes, whole batch by (n, n): OpenBLAS picks its
-            # kernel and summation order by shape, so a bias column or a split of
-            # the rows would change low bits of the payoffs.
-            own = np.matmul(x, d[0], out=out)
+            d, tiles = self._operands(m)
+            g0, g1, b0, db = tiles[:, :m]
+            np.matmul(x, d[0], out=out)
             tmp = x @ d[1]
-            rows = tiles.shape[1]
-            for lo in range(0, x.shape[0], rows):
-                block = slice(lo, lo + rows)
-                self._combine_binary(x[block], own[block], tmp[block], tiles, scale)
-            return own
-        # received[s, i, j] = sum_l w[i, l, j, a_sl] - w[i, l, j, 0] sums one (s, n k)
+            # in place: mu / (n - 1) (g0 + x (g1 - g0)) + (1 - mu) (b0 + x (b1 - b0))
+            out += g0
+            tmp += g1
+            tmp -= out
+            tmp *= x
+            out += tmp
+            out *= self.mu / (n - 1)
+            # x is 0 or 1, so x (b1 - b0) + b0 is exactly b0 or b0 + (b1 - b0)
+            base = np.multiply(x, db, out=tmp)
+            base += b0
+            base *= 1.0 - self.mu
+            out += base
+            return
+        # received[s, i, j] = sum_l w[i, l, j, a_sl] - w[i, l, j, 0] sums one (m, n k)
         # GEMM per action b > 0.  Only the entries (s, i, a_si) are read, at flat
         # indices s n k + i k + a_si; adding them in b order equals summing the whole
         # products first.  Every buffer is reused: with products allocated per call,
         # malloc returns their pages to the system and page-faults them in again.
         # The gathers run in clip mode, which writes straight into its output (raise
         # mode copies it first); actions are checked against [0, k) where they enter.
-        m = actions.shape[0]
         d, tiles, base = self._operands(m)
-        rows = tiles.shape[1]
-        x, prod, idx = self._kaction_scratch(m, rows)
-        own = np.empty((m, n)) if out is None else out
-        blocks = [slice(lo, lo + rows) for lo in range(0, m, rows)]
+        x, prod, idx = self._kaction_scratch(m)
         np.copyto(idx, actions, casting="unsafe")  # a cast copy (float rows too), then an add
-        for block in blocks:  # flat indices, counted from the first row of the block
-            flat = idx[block]
-            flat += tiles[0, :flat.shape[0]]
+        idx += tiles[0, :m]
         for b in range(1, k):
             np.equal(actions, b, out=x)
-            np.matmul(x, d[b - 1], out=prod)  # whole batch, for the bits (see k = 2)
-            for block in blocks:
-                got = own[block]
-                if b == 1:
-                    np.take(prod[block], idx[block], out=got, mode="clip")
-                else:
-                    got += np.take(prod[block], idx[block], out=x[block], mode="clip")
-        for block in blocks:
-            cell, got, tmp = idx[block], own[block], x[block]
-            cell -= tiles[1, :cell.shape[0]]  # i k + a_si: cell (i, a_si) of the (n, k) arrays
-            got += np.take(self._batch_zero, cell, out=tmp, mode="clip")
-            got *= scale
-            got += np.take(base, cell, out=tmp, mode="clip")
-        return own
+            np.matmul(x, d[b - 1], out=prod)
+            if b == 1:
+                np.take(prod, idx, out=out, mode="clip")
+            else:
+                out += np.take(prod, idx, out=x, mode="clip")
+        idx -= tiles[1, :m]  # i k + a_si: cell (i, a_si) of the (n, k) arrays
+        out += np.take(self._batch_zero, idx, out=x, mode="clip")
+        out *= self.mu / (n - 1)
+        out += np.take(base, idx, out=x, mode="clip")
 
     def _operands(self, m: int):
-        """The batch operands of an m-row batch, with (., rows, n) tiles,
-        rows >= min(m, BATCH_ROWS), one sampling chunk at most; taller batches
-        are combined in blocks of the tile height.
+        """The operands of an m-row chunk, with (., rows, n) tiles, rows >= m.
 
         k = 2: the contiguous GEMM operand d and tiles of g0, g1, b0 and
         b1 - b0.  numpy runs an elementwise op that broadcasts an (n,) vector
@@ -137,24 +144,23 @@ class LinearInfluenceGame(Game):
         (w[b] - w[0]) as (n, n k), int tiles of the flat product offsets
         s n k + i k and the row offsets s n k, and the scaled base flattened.
 
-        The first batch builds them and only a taller one rebuilds them; they
+        The first chunk builds them and only a taller one rebuilds them; they
         are read-only and published in one assignment, so threads that race
         here build equal arrays and each computes with its own.
         """
         ops = self._operand_cache
-        rows = min(max(m, 1), BATCH_ROWS)
-        if ops is not None and ops[1].shape[1] >= rows:
+        if ops is not None and ops[1].shape[1] >= m:
             return ops
         n, k, w = self.n, self.k, self._w
         if k == 2:
-            tiles = np.empty((4, rows, n))
+            tiles = np.empty((4, m, n))
             b0, b1 = self.base[:, 0], self.base[:, 1]
             for tile, value in zip(tiles, (*self._batch_zero.T, b0, b1 - b0)):
                 tile[...] = value
             ops = (np.ascontiguousarray((w[1] - w[0]).transpose(2, 0, 1)), tiles)
         else:
-            tiles = np.empty((2, rows, n), dtype=np.intp)
-            tiles[1] = np.arange(0, rows * n * k, n * k)[:, None]
+            tiles = np.empty((2, m, n), dtype=np.intp)
+            tiles[1] = np.arange(0, m * n * k, n * k)[:, None]
             np.add(tiles[1], np.arange(0, n * k, k), out=tiles[0])
             ops = ((w[1:] - w[0]).reshape(k - 1, n, n * k), tiles, self._scaled_base.ravel())
         for arr in ops:
@@ -162,38 +168,18 @@ class LinearInfluenceGame(Game):
         self._operand_cache = ops
         return ops
 
-    def _kaction_scratch(self, m: int, rows: int):
-        """This thread's (mask, product, index) buffers for an m-row k > 2 batch.
+    def _kaction_scratch(self, m: int):
+        """This thread's (mask, product, index) buffers for an m-row k > 2 chunk.
 
-        Each thread owns buffers of the tile height, so threads can share a
-        game.  A batch taller than the tiles gets new buffers, because its GEMMs
-        keep their whole-batch shape; it is gathered block by block.
+        Each thread owns its buffers, so threads can share a game; they grow
+        to the tallest chunk the thread has seen.
         """
-        n, k = self.n, self.k
-        if m > rows:
-            return np.empty((m, n)), np.empty((m, n * k)), np.empty((m, n), dtype=np.intp)
         scratch = getattr(self._scratch, "kaction", None)
-        if scratch is None or scratch[2].shape[0] < rows:
-            scratch = (np.empty((rows, n)), np.empty((rows, n * k)),
-                       np.empty((rows, n), dtype=np.intp))
+        if scratch is None or scratch[2].shape[0] < m:
+            n, k = self.n, self.k
+            scratch = (np.empty((m, n)), np.empty((m, n * k)), np.empty((m, n), dtype=np.intp))
             self._scratch.kaction = scratch
         return tuple(buf[:m] for buf in scratch)
-
-    def _combine_binary(self, x, own, tmp, tiles, scale):
-        """Turn own = x d[0] and tmp = x d[1] into the payoffs, in place:
-        scale (g0 + x (g1 - g0)) + (1 - mu) (b0 + x (b1 - b0))."""
-        g0, g1, b0, db = tiles[:, :x.shape[0]]
-        own += g0
-        tmp += g1
-        tmp -= own
-        tmp *= x
-        own += tmp
-        own *= scale
-        # x is 0 or 1, so x (b1 - b0) + b0 is exactly b0 or b0 + (b1 - b0)
-        base = np.multiply(x, db, out=tmp)
-        base += b0
-        base *= 1.0 - self.mu
-        own += base
 
     def mixed_payoff_table(self, probs: np.ndarray) -> np.ndarray:
         n, k = self.n, self.k

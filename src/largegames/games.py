@@ -13,13 +13,14 @@ so values can be shared freely across threads.  There are two
 exceptions, both in ``LinearInfluenceGame``'s batch evaluation:
 
 - its one operand cache, which the first batch builds: the GEMM operands
-  and chunk-high constant tiles (and for k > 2 the scaled base payoffs).
-  The arrays are read-only, computed only from the immutable fields and
-  published by a single attribute assignment, so two threads that race
-  there build equal arrays twice and each computes with its own;
-- the k > 2 kernel's scratch buffers (mask, product, index), which are
-  held per thread in a ``threading.local``, so each thread writes only
-  its own.
+  and constant tiles at most one chunk (``BATCH_ROWS`` rows) high (and for
+  k > 2 the scaled base payoffs).  The arrays are read-only, computed only
+  from the immutable fields and published by a single attribute assignment,
+  so two threads that race there build equal arrays twice and each computes
+  with its own;
+- the k > 2 kernel's scratch buffers (mask, product, index), at most one
+  chunk high and held per thread in a ``threading.local``, so each thread
+  writes only its own.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _check_budget(c) -> float:
+    """The influence budget c as a float, which must be finite and nonnegative."""
+    c = float(c)
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"influence budget c must be finite and nonnegative, got {c}")
+    return c
 
 
 def binary_probs(p_one: np.ndarray) -> np.ndarray:
@@ -159,10 +168,10 @@ class Game(ABC):
     def payoffs(self, actions) -> np.ndarray:
         """Payoff vector (length n) for one pure profile: row 0 of a one-row batch.
 
-        Only one-row answers are pinned.  A row evaluated inside a taller
-        batch may differ in its last bits, because OpenBLAS picks its
-        summation order by shape: at n = 60 about 98% of the rows of a
-        4096-row linear-influence batch differ from the same row alone.
+        Only one-row answers are pinned.  A row inside a batch gets the bits of
+        its ``BATCH_ROWS``-row chunk, and OpenBLAS picks its summation order by
+        shape: at n = 60 about 99% of the rows of a 4096-row linear-influence
+        chunk differ in their last bits from the same row alone.
         """
         a = as_pure_profile(actions, self.n, self.k)
         return self.payoffs_batch(a[None, :])[0]
@@ -220,7 +229,7 @@ class TensorGame(Game):
         self.tensor = _readonly(tensor)
         self.n = n
         self.k = tensor.shape[1]
-        self.c = float(c)
+        self.c = _check_budget(c)
 
     def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         a = np.asarray(actions, dtype=np.intp)
@@ -270,7 +279,7 @@ class IndependentGame(Game):
             raise ValueError("payoffs must lie in [0, 1]")
         self.values = _readonly(values)
         self.n, self.k = values.shape
-        self.c = float(c)
+        self.c = _check_budget(c)
 
     def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         cell = np.asarray(actions, dtype=np.intp) + np.arange(0, self.n * self.k, self.k)

@@ -77,8 +77,9 @@ def test_block_bound_reference_points():
     # sampling inflation
     assert lg.block_update_bound(1.0, 2, 100, sampling_error=0.1) == pytest.approx(
         0.5 * (1 + 0.01 + 0.05))
-    with pytest.raises(ValueError):
-        lg.block_update_bound(0.0, 2, 10)
+    for c in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="need a finite c > 0"):
+            lg.block_update_bound(c, 2, 10)
 
 
 def test_bound_table_cases():

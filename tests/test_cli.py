@@ -216,6 +216,8 @@ def test_thread_cap_must_be_an_integer(monkeypatch):
      "seed range '3:1' is empty"),
     (["sweep", "--algo", "plane", "--n", "6", "--seeds", "2:2"], None,
      "seed range '2:2' is empty"),
+    (["sweep", "--bu-bounds", "--c", "nan", "--k-grid", "2", "--blocks-grid", "5"], None,
+     "need a finite c > 0, k >= 2, blocks >= 1"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, argv, threads, message):
     if threads is not None:

@@ -5,6 +5,7 @@ import pytest
 
 import largegames as lg
 from largegames import binary, blocks, continuous, families, oracles, runner
+from largegames.games import BATCH_ROWS
 from references import pairwise_payoffs
 
 
@@ -102,6 +103,15 @@ def test_linear_influence_batch_matches_stacked_payoffs(k):
     assert np.allclose(g.payoffs_batch(actions), stacked, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n,k", [(10, 2), (100, 2), (10, 3), (100, 3), (7, 4)])
+def test_tall_batch_equals_its_chunks_bit_for_bit(n, k):
+    g = lg.gen_linear_influence(n, k, 1.0, seed=n + k)
+    rows = 2 * BATCH_ROWS + 904
+    actions = np.random.default_rng(k).integers(0, k, size=(rows, n)).astype(np.int8)
+    chunks = [g.payoffs_batch(actions[lo:lo + BATCH_ROWS]) for lo in range(0, rows, BATCH_ROWS)]
+    assert np.array_equal(g.payoffs_batch(actions), np.concatenate(chunks))
+
+
 def test_linear_influence_weights_read_only_without_self_influence():
     rng = np.random.default_rng(4)
     raw = rng.random((5, 5, 3, 3))
@@ -132,6 +142,15 @@ def test_linear_influence_rejects_bad_payoff_entries(part, index, value, message
     arrays[part][index] = value
     with pytest.raises(ValueError, match=message):
         lg.LinearInfluenceGame(arrays["base"], arrays["weights"], 1.0)
+
+
+@pytest.mark.parametrize("n,c,message", [(1, 1.0, "needs n >= 2 players")] + [
+    (3, c, "influence budget c must be finite and nonnegative")
+    for c in (-5.0, -1e-9, np.nan, np.inf, -np.inf)])
+def test_linear_influence_rejects_one_player_or_a_bad_budget(n, c, message):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=message):
+        lg.LinearInfluenceGame(rng.random((n, 2)), rng.random((n, n, 2, 2)), c)
 
 
 def test_linear_influence_kernels_are_patchable_class_attributes():

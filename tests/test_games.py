@@ -395,6 +395,17 @@ def test_games_reject_non_finite_payoffs(make):
             make(np.array(payoffs))
 
 
+@pytest.mark.parametrize("make", [
+    lambda c: lg.IndependentGame(np.full((2, 2), 0.5), c=c),
+    lambda c: lg.TensorGame(np.full((2, 2, 2), 0.5), c=c),
+], ids=["independent", "tensor"])
+def test_games_reject_a_bad_budget(make):
+    assert make(0).c == 0.0
+    for c in (-1.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="influence budget c must be finite and nonnegative"):
+            make(c)
+
+
 def test_tensor_game_json_roundtrip():
     g = lg.gen_tiny_tensor(3, 2, 0.4, seed=9)
     back = lg.TensorGame.from_json(g.to_json())
