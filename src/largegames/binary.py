@@ -95,38 +95,29 @@ def label_bad_players(vhat: np.ndarray, p_one: np.ndarray) -> BadGoodLabels:
     return BadGoodLabels(bad=bad, theta=float(bad.mean()))
 
 
-class _MixedEstimator:
-    """Uniform access to mixed payoff tables, exact or sampled."""
-
-    def __init__(self, session: OracleSession, mode: str, beta: float, delta: float):
-        if mode not in ("exact", "sampling"):
-            raise ValueError("oracle mode must be 'exact' or 'sampling'")
-        if session.game.k != 2:
-            raise ValueError("binary dynamics require k = 2")
-        self.session = session
-        self.mode = mode
-        self.beta = beta
-        self.delta = delta
-
-    def __call__(self, p_one: np.ndarray) -> np.ndarray:
-        if self.mode == "exact":
-            return self.session.exact_mixed(binary_probs(p_one))
-        return self.session.sample_mixed_binary(binary_probs(p_one), self.beta, self.delta).values
+def _binary_source(session: OracleSession, mode: str, beta: float, delta: float):
+    """The run's table source (``OracleSession.table_source``) as a function
+    of the vector of P[action 1]."""
+    source = session.table_source(mode, session.sample_mixed_binary, beta, delta)
+    if session.game.k != 2:
+        raise ValueError("binary dynamics require k = 2")
+    return lambda p_one: source(binary_probs(p_one))
 
 
-def one_step(session: OracleSession, alpha: float = ONE_STEP_ALPHA,
-             shift: float = ONE_STEP_SHIFT, mode: str = "exact",
-             beta: float = 0.1, delta: float = 0.05):
+def one_step(session: OracleSession, mode: str = "exact", beta: float = 0.1,
+             delta: float = 0.05):
     """Single adjustment from uniform: players whose payoff gap exceeds
-    ``alpha`` move ``shift`` probability toward their best response."""
-    est = _MixedEstimator(session, mode, beta, delta)
+    ``ONE_STEP_ALPHA`` move ``ONE_STEP_SHIFT`` probability toward their best
+    response."""
+    est = _binary_source(session, mode, beta, delta)
     n = session.game.n
     v = est(np.full(n, 0.5))
     gap = v[:, 1] - v[:, 0]
-    p = np.where(gap > alpha, 0.5 + shift,
-                 np.where(-gap > alpha, 0.5 - shift, 0.5))
+    p = np.where(gap > ONE_STEP_ALPHA, 0.5 + ONE_STEP_SHIFT,
+                 np.where(-gap > ONE_STEP_ALPHA, 0.5 - ONE_STEP_SHIFT, 0.5))
     profile = MixedProfile.from_binary(p)
-    report = build_report("one-step", {"alpha": alpha, "shift": shift, "mode": mode},
+    report = build_report("one-step",
+                          {"alpha": ONE_STEP_ALPHA, "shift": ONE_STEP_SHIFT, "mode": mode},
                           session, profile, rounds=1)
     return profile, report
 
@@ -135,7 +126,7 @@ def two_step(session: OracleSession, mode: str = "exact",
              beta: float = 0.1, delta: float = 0.05):
     """Shift best responses to mass 3/4, then send players whose best
     response flipped back to uniform."""
-    est = _MixedEstimator(session, mode, beta, delta)
+    est = _binary_source(session, mode, beta, delta)
     n = session.game.n
     v = est(np.full(n, 0.5))
     first = (v[:, 1] > v[:, 0]).astype(int)  # ties break to action 0
@@ -188,14 +179,16 @@ def _plane_rule(step: float, bad: np.ndarray | None = None):
 def _banded(session, params, band, mode, sample_beta, make_rule, record):
     """Set up the estimator for a band and run the banded rounds from the
     uniform start; ``record`` is the round hook of ``_banded_rounds``.
-    Returns (estimator, p, step, rounds)."""
+    Returns (estimator, p, step, rounds, sampling accuracy, per-round
+    confidence)."""
     step, rounds = _schedule(band)
     beta = sample_beta if sample_beta is not None else step
-    est = _MixedEstimator(session, mode, beta, params.eta / rounds)
+    delta = params.eta / rounds
+    est = _binary_source(session, mode, beta, delta)
     p = np.full(session.game.n, 0.5)
     # the first round tracks against a second estimate at the start
     p, _ = _banded_rounds(est, make_rule(step), p, est(p), est(p), rounds, record)
-    return est, p, step, rounds
+    return est, p, step, rounds, beta, delta
 
 
 def plane_dynamics(session: OracleSession, params: DynamicsParams, mode: str = "exact",
@@ -208,12 +201,12 @@ def plane_dynamics(session: OracleSession, params: DynamicsParams, mode: str = "
     sees the state each banded round starts from; ``communication_dynamics``
     and ``curve_dynamics`` take it too.
     """
-    est, p, _, _ = _banded(session, params, params.band, mode, sample_beta,
-                           _plane_rule, record)
+    _, p, _, _, beta, delta = _banded(session, params, params.band, mode, sample_beta,
+                                      _plane_rule, record)
     profile = MixedProfile.from_binary(p)
     run_params = params.as_dict() | {"mode": mode}
-    if mode == "sampling":
-        run_params |= {"sample_beta": est.beta, "sample_delta": est.delta}
+    if mode != "exact":  # what to record; _banded has checked the mode
+        run_params |= {"sample_beta": beta, "sample_delta": delta}
     report = build_report("plane", run_params, session, profile, rounds=params.rounds)
     return profile, report
 
@@ -229,8 +222,8 @@ def communication_dynamics(session: OracleSession, params: DynamicsParams,
     toward their best responses for 0.15 probability mass while the rest
     track; then the (re-labelled) flagged players march a further 1/220.
     """
-    est, p, step, rounds = _banded(session, params, params.band, mode, sample_beta,
-                                   _plane_rule, record)
+    est, p, step, rounds, _, _ = _banded(session, params, params.band, mode,
+                                         sample_beta, _plane_rule, record)
     vhat = est(p)  # fresh estimate at the settled profile for labelling
     labels = label_bad_players(vhat, p)
     theta_measured = labels.theta
@@ -258,10 +251,16 @@ def communication_dynamics(session: OracleSession, params: DynamicsParams,
 # ---------------------------------------------------------------------------
 # general influence budget: the plane generalizes to a capped curve
 
+def _check_curve_c(c: float) -> None:
+    """The curve's influence budget must be finite and positive, as the
+    block-update bound requires."""
+    if not 0.0 < c < math.inf:
+        raise ValueError("c must be finite and positive")
+
+
 def curve_band(alpha: float, c: float) -> float:
     """Band half-width whose worst-case regret meets the curve bound + alpha."""
-    if not c > 0:
-        raise ValueError("c must be positive")
+    _check_curve_c(c)
     if not 0.0 < alpha < math.inf:
         raise ValueError("alpha must be finite and positive")
     if c <= 2:
@@ -271,8 +270,7 @@ def curve_band(alpha: float, c: float) -> float:
 
 def curve_regret_bound(c: float, alpha: float = 0.0) -> float:
     """Worst-case regret on the curve: c/8 for c <= 2, else 1/2 - 1/(2c)."""
-    if not c > 0:
-        raise ValueError("c must be positive")
+    _check_curve_c(c)
     value = c / 8.0 if c <= 2 else 0.5 - 1.0 / (2.0 * c)
     return value + alpha
 
@@ -312,8 +310,8 @@ def curve_dynamics(session: OracleSession, params: DynamicsParams, c: float | No
     if c is None:
         c = session.game.c
     band = curve_band(params.alpha, c)
-    _, p, step, rounds = _banded(session, params, band, mode, sample_beta,
-                                 lambda step: _curve_rule(c, step), record)
+    _, p, step, rounds, _, _ = _banded(session, params, band, mode, sample_beta,
+                                       lambda step: _curve_rule(c, step), record)
     profile = MixedProfile.from_binary(p)
     run_params = {"alpha": params.alpha, "eta": params.eta, "c": c, "band": band,
                   "step": step, "rounds": rounds, "mode": mode}

@@ -102,8 +102,8 @@ def block_update_bound(c: float, k: int, blocks: int | None = None,
     """
     if not 0.0 < c < math.inf or k < 2 or (blocks is not None and blocks < 1):
         raise ValueError("need a finite c > 0, k >= 2, blocks >= 1")
-    if sampling_error < 0:
-        raise ValueError("sampling error must be nonnegative")
+    if not 0.0 <= sampling_error < math.inf:
+        raise ValueError("sampling error must be finite and nonnegative")
     horizon = 1.0 + (0.0 if blocks is None else 1.0 / blocks) + sampling_error / (2.0 * c)
     if _bound_case(c, k) != "truncated":
         return c * ((k - 1) / k) * horizon
@@ -151,14 +151,9 @@ def block_update(session: OracleSession, blocks: int, mode: str = "exact",
     counts = np.zeros((n, k), dtype=np.int64)
     counts[:, 0] = blocks
 
+    source = session.table_source(mode, session.sample_mixed_kaction, beta, delta)
     for t in range(blocks):
-        if mode == "exact":
-            table = session.exact_mixed(counts / blocks)
-        elif mode == "sampling":
-            table = session.sample_mixed_kaction(counts / blocks, beta, delta).values
-        else:
-            raise ValueError("oracle mode must be 'exact' or 'sampling'")
-        best = np.argmax(table, axis=1)  # lowest index wins ties
+        best = np.argmax(source(counts / blocks), axis=1)  # lowest index wins ties
         old = allocation[:, t].copy()
         allocation[:, t] = best
         counts[np.arange(n), old] -= 1

@@ -116,20 +116,19 @@ def cmd_sweep(args) -> int:
         cols = ["c", "curve_bound", "block_bound"]
         text = runner.rows_to_csv(rows, cols)
     elif args.bu_bounds:
-        rows = blocks.bound_table(_parse_floats(args.c),
-                                  _parse_ints(args.k_grid or str(args.k)),
-                                  _parse_ints(args.blocks_grid or str(args.blocks)))
+        rows = blocks.bound_table(_parse_floats(args.c), _parse_ints(args.k),
+                                  _parse_ints(args.blocks))
         cols = ["c", "k", "N", "epsilon_case", "epsilon"]
         text = runner.rows_to_csv(rows, cols)
     else:
         rows = runner.sweep_rows(
             algos=[a for a in args.algo.split(",") if a],
             family=args.family,
-            ns=_parse_ints(args.n_grid or str(args.n)),
+            ns=_parse_ints(args.n),
             cs=_parse_floats(args.c),
-            ks=_parse_ints(args.k_grid or str(args.k)),
-            alphas=_parse_floats(args.alpha_grid or str(args.alpha)),
-            blocks_grid=_parse_ints(args.blocks_grid or str(args.blocks)),
+            ks=_parse_ints(args.k),
+            alphas=_parse_floats(args.alpha),
+            blocks_grid=_parse_ints(args.blocks),
             seeds=_parse_seeds(args.seeds),
             oracle=args.oracle, eta=args.eta, beta=args.beta, delta=args.delta,
             timing=args.timing)
@@ -176,13 +175,17 @@ def build_parser() -> argparse.ArgumentParser:
     delta_help = ("sampling failure probability; exact mode ignores it, and so do plane, "
                   "plane-comm and curve, which derive delta as eta/rounds")
 
-    def add_family(p, c_as_grid=False):
+    grid = "comma-separated grid"
+
+    def add_family(p, grids=False):
         p.add_argument("--family", default="linear-influence", choices=families.FAMILIES)
-        p.add_argument("--n", type=int, default=50)
-        p.add_argument("--k", type=int, default=2)
-        if c_as_grid:
-            p.add_argument("--c", default="1.0", help="comma-separated grid")
+        if grids:  # parsed by cmd_sweep; the -grid spellings are aliases
+            p.add_argument("--n", "--n-grid", default="50", help=grid)
+            p.add_argument("--k", "--k-grid", default="2", help=grid)
+            p.add_argument("--c", default="1.0", help=grid)
         else:
+            p.add_argument("--n", type=int, default=50)
+            p.add_argument("--k", type=int, default=2)
             p.add_argument("--c", type=float, default=1.0)
         p.add_argument("--ell", type=float, default=4.0)
         p.add_argument("--gamma", type=float, default=None)
@@ -218,18 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="grid of runs to CSV")
-    add_family(sweep, c_as_grid=True)
+    add_family(sweep, grids=True)
     sweep.add_argument("--algo", default="plane")
     sweep.add_argument("--oracle", default="exact", choices=["exact", "sampling"])
-    sweep.add_argument("--alpha", type=float, default=default["alpha"])
-    sweep.add_argument("--alpha-grid", default=None)
+    sweep.add_argument("--alpha", "--alpha-grid", default=str(default["alpha"]), help=grid)
     sweep.add_argument("--eta", type=float, default=default["eta"])
     sweep.add_argument("--beta", type=float, default=None, help=beta_help)
     sweep.add_argument("--delta", type=float, default=None, help=delta_help)
-    sweep.add_argument("--blocks", type=int, default=default["blocks"])
-    sweep.add_argument("--blocks-grid", default=None)
-    sweep.add_argument("--n-grid", default=None)
-    sweep.add_argument("--k-grid", default=None)
+    sweep.add_argument("--blocks", "--blocks-grid", default=str(default["blocks"]), help=grid)
     sweep.add_argument("--seeds", default="")
     sweep.add_argument("--timing", action="store_true",
                        help="append a wall_ms column (off by default to keep bytes reproducible)")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import Game, binary_probs
-from .binary import _banded_rounds, _clip, _curve_state, plane_residual
+from .binary import _banded_rounds, _check_curve_c, _clip, _curve_state, plane_residual
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,7 @@ def simulate_curve_flow(game: Game, c: float, step_h: float = 1e-3,
     the uncapped line it holds still; otherwise it tracks the
     discrepancy derivative scaled by 1/(2c).
     """
-    if not c > 0:
-        raise ValueError("c must be positive")
+    _check_curve_c(c)
     tol = 2.0 * step_h * max(1.0, 1.0 / (2.0 * c))
 
     def rule(p, v, v_prev):

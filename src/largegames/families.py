@@ -257,15 +257,18 @@ FAMILIES = ("linear-influence", "lower-bound", "tiny-tensor")
 
 def check_object(obj, keys, what: str, numbers=()):
     """Raise ValueError unless ``obj`` is a JSON object holding every key of
-    ``keys``, and a number under every key of ``numbers`` that it holds."""
+    ``keys``, and a number (not a boolean) under every key of ``numbers``
+    that it holds, a whole one (6.0 passes) under "n", "k" and "blocks"."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object")
     missing = [key for key in keys if key not in obj]
     if missing:
         raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
-    for key in numbers:
-        if key in obj and not isinstance(obj[key], (int, float)):
+    for key in (key for key in numbers if key in obj):
+        if isinstance(obj[key], bool) or not isinstance(obj[key], (int, float)):
             raise ValueError(f"{what} {key!r} must be a number")
+        if key in ("n", "k", "blocks") and obj[key] % 1:  # inf and nan leave nan
+            raise ValueError(f"{what} {key!r} must be a whole number")
 
 
 def check_family(family: str, params) -> None:
@@ -302,7 +305,7 @@ def descriptor_to_json(desc: dict) -> str:
 
 def game_from_descriptor(desc: dict) -> Game:
     check_object(desc, ("family", "params", "seed"), "game descriptor")
-    if not isinstance(desc["seed"], int):
+    if not isinstance(desc["seed"], int) or isinstance(desc["seed"], bool):
         raise ValueError("game descriptor 'seed' must be an integer")
     return make_game(desc["family"], desc["params"], desc["seed"])
 

@@ -240,6 +240,15 @@ class OracleSession:
         self.qm_calls += 1
         return self.game.mixed_payoff_table(probs)
 
+    def table_source(self, mode: str, sampler, beta: float, delta: float):
+        """The function a run reads its payoff tables from: ``exact_mixed``, or
+        the ``values`` of ``sampler(probs, beta, delta)``, a sampler of this session."""
+        if mode == "exact":
+            return self.exact_mixed
+        if mode != "sampling":
+            raise ValueError("oracle mode must be 'exact' or 'sampling'")
+        return lambda probs: sampler(probs, beta, delta).values
+
     def close(self):
         if self._trace is not None:
             self._trace.close()

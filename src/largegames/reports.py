@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -17,6 +17,11 @@ def profile_digest(profile: MixedProfile) -> str:
 
 def array_digest(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
+
+
+# report keys that differ from the RunReport field names
+_RENAMED = {"regret_summary": "per_player_regret_summary",
+            "profile_digest": "final_profile_digest"}
 
 
 @dataclass
@@ -37,19 +42,8 @@ class RunReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "algorithm": self.algorithm,
-            "params": self.params,
-            "seed": self.seed,
-            "n": self.n,
-            "c": self.c,
-            "rounds": self.rounds,
-            "pure_queries": self.pure_queries,
-            "qm_calls": self.qm_calls,
-            "max_regret": self.max_regret,
-            "per_player_regret_summary": self.regret_summary,
-            "final_profile_digest": self.profile_digest,
-        }
+        out = {_RENAMED.get(f.name, f.name): getattr(self, f.name)
+               for f in fields(self) if f.name != "extra"}
         out.update(self.extra)
         return out
 

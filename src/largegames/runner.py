@@ -13,7 +13,7 @@ from typing import Callable
 from . import binary, blocks, continuous, families
 from .games import MixedProfile
 from .oracles import OracleSession
-from .reports import RunReport, build_report
+from .reports import build_report
 
 # every algo_params key: (type, default); c defaults to the game's budget
 PARAMS = {"alpha": (float, 0.05), "eta": (float, 0.1), "c": (float, None),
@@ -146,18 +146,19 @@ class ExperimentConfig:
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         families.check_object(obj, ("family", "algo"), "config")
         families.check_object(obj["family"], ("family",), "config family")
-        for key, (kinds, text) in _CONFIG_TYPES.items():
-            if key in obj and not isinstance(obj[key], kinds):
+        for key, (kinds, text) in _CONFIG_TYPES.items():  # no key takes a boolean
+            if key in obj and (isinstance(obj[key], bool) or not isinstance(obj[key], kinds)):
                 raise ValueError(f"config {key!r} must be {text}")
-        if not all(isinstance(seed, int) for seed in obj.get("seeds", [])):
+        if not all(isinstance(seed, int) and not isinstance(seed, bool)
+                   for seed in obj.get("seeds", [])):
             raise ValueError("config 'seeds' must hold integers")
-        if not all(value is None or isinstance(value, (int, float))
-                   for value in obj.get("algo_params", {}).values()):
-            raise ValueError("config 'algo_params' must hold numbers or null")
+        algo_params = {key: value for key, value in obj.get("algo_params", {}).items()
+                       if value is not None}  # null is the default
+        families.check_object(algo_params, (), "config algo_params", numbers=list(algo_params))
         return cls(
             family=obj["family"],
             algo=obj["algo"],
-            algo_params=dict(obj.get("algo_params", {})),
+            algo_params=algo_params,
             oracle=obj.get("oracle", "exact"),
             beta=obj.get("beta"),
             delta=obj.get("delta"),
@@ -219,12 +220,6 @@ def parallel_over_seeds(fn, seeds):
         return [fn(s) for s in seeds]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, seeds))
-
-
-def run_many(config: ExperimentConfig) -> list[RunReport]:
-    """One report per seed, executed in parallel sessions, ordered by seed."""
-    results = parallel_over_seeds(lambda s: run_one(config, s)[0], config.seeds)
-    return sorted(results, key=lambda r: r.seed)
 
 
 SWEEP_COLUMNS = ["algorithm", "family", "n", "c", "k", "alpha", "eta", "beta",

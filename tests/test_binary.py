@@ -117,6 +117,12 @@ def test_one_step_default_constants():
     assert max(pieces) <= 0.272
 
 
+def test_one_step_report_records_its_constants():
+    g = lg.gen_linear_influence(6, 2, 1.0, seed=0)
+    _, report = lg.one_step(lg.OracleSession(g, seed=0))
+    assert report.params == {"alpha": ONE_STEP_ALPHA, "shift": ONE_STEP_SHIFT, "mode": "exact"}
+
+
 def test_one_step_constant_game_stays_uniform():
     sess = lg.OracleSession(lg.constant_game(6), seed=0)
     profile, report = lg.one_step(sess)
@@ -364,6 +370,14 @@ def test_curve_bound_cases_meet_at_two():
     assert lg.curve_regret_bound(2.0 + 1e-9) == pytest.approx(0.25, abs=1e-9)
     assert lg.curve_regret_bound(1.0) == pytest.approx(0.125)
     assert lg.curve_regret_bound(4.0) == pytest.approx(0.375)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])
+def test_curve_budget_must_be_finite_and_positive(c):
+    with pytest.raises(ValueError, match="c must be finite and positive"):
+        lg.curve_regret_bound(c)
+    with pytest.raises(ValueError, match="c must be finite and positive"):
+        lg.curve_band(0.05, c)
 
 
 def test_curve_dynamics_saturates_pure_best_response():

@@ -80,6 +80,9 @@ def test_block_bound_reference_points():
     for c in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="need a finite c > 0"):
             lg.block_update_bound(c, 2, 10)
+    for error in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sampling error must be finite and nonnegative"):
+            lg.block_update_bound(1.0, 2, 10, sampling_error=error)
 
 
 def test_bound_table_cases():
@@ -159,3 +162,15 @@ def test_block_update_sampling_mode_runs():
     profile, report, _ = lg.block_update(sess, 3, mode="sampling", beta=0.5, delta=0.3)
     assert report.pure_queries == 3 * lg.kaction_sample_count(0.5, 0.3, 4, 3)
     assert np.allclose(profile.probs.sum(axis=1), 1.0)
+
+
+def test_an_unknown_oracle_mode_is_rejected_before_any_query():
+    """block_update and the binary procedures read their tables from one
+    source, which rejects an unknown mode before the first query."""
+    runs = [lambda sess: lg.block_update(sess, 3, mode="bogus"),
+            lambda sess: lg.plane_dynamics(sess, lg.DynamicsParams(alpha=0.1), mode="bogus")]
+    for run in runs:
+        sess = lg.OracleSession(lg.gen_linear_influence(4, 2, 1.0, seed=0), seed=0)
+        with pytest.raises(ValueError, match="^oracle mode must be 'exact' or 'sampling'$"):
+            run(sess)
+        assert sess.qm_calls == sess.pure_queries == 0

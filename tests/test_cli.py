@@ -176,6 +176,23 @@ def test_sweep_bu_bounds(tmp_path):
     assert len(lines) == 1 + 2 * 2 * 2
 
 
+def test_sweep_grid_flags_and_their_grid_aliases_write_the_same_bytes(tmp_path):
+    common = ["sweep", "--algo", "one-step,plane,block-update", "--c", "1.0,2.0",
+              "--seeds", "0:1"]
+    grids = {"n": "5,6", "k": "2,3", "alpha": "0.1,0.2", "blocks": "3,4"}
+    texts = []
+    for suffix in ("", "-grid"):
+        out = tmp_path / f"sweep{suffix}.csv"
+        argv = common + [arg for name, grid in grids.items()
+                         for arg in (f"--{name}{suffix}", grid)]
+        assert main(argv + ["--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    rows = texts[0].splitlines()[1:]
+    # one-step: n x c at k = 2; plane: n x c x alpha at k = 2; block-update: n x c x k x blocks
+    assert len(rows) == 4 + 8 + 16
+
+
 def test_sweep_sampling_query_counts_match_formula():
     import math
 
@@ -194,10 +211,15 @@ def test_parallel_seeds_match_sequential(monkeypatch):
     config = runner.ExperimentConfig(
         family={"family": "linear-influence", "params": {"n": 12, "k": 2, "c": 1.0}},
         algo="two-step", seeds=[0, 1, 2, 3, 4])
+
+    def reports():
+        results = runner.parallel_over_seeds(lambda s: runner.run_one(config, s), config.seeds)
+        return [report.to_json() for report, _, _ in results]
+
     monkeypatch.setenv("LGL_THREADS", "1")
-    sequential = [r.to_json() for r in runner.run_many(config)]
+    sequential = reports()
     monkeypatch.setenv("LGL_THREADS", "4")
-    parallel = [r.to_json() for r in runner.run_many(config)]
+    parallel = reports()
     assert sequential == parallel
 
 
@@ -218,6 +240,10 @@ def test_thread_cap_must_be_an_integer(monkeypatch):
      "seed range '2:2' is empty"),
     (["sweep", "--bu-bounds", "--c", "nan", "--k-grid", "2", "--blocks-grid", "5"], None,
      "need a finite c > 0, k >= 2, blocks >= 1"),
+    (["run", "--algo", "curve", "--algo-c", "inf", "--n", "6"], None,
+     "c must be finite and positive"),
+    (["run", "--algo", "curve-flow", "--algo-c", "inf", "--n", "6"], None,
+     "c must be finite and positive"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, argv, threads, message):
     if threads is not None:
@@ -226,6 +252,15 @@ def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, argv, threads, m
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("algo", ["curve", "curve-flow"])
+def test_an_infinite_curve_budget_writes_no_report(tmp_path, capsys, algo):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--algo", algo, "--algo-c", "inf", "--n", "6",
+                 "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not (out_dir / "report_seed0.json").exists()
 
 
 def test_verify_mismatched_profile_is_an_input_error(tmp_path, capsys):
@@ -276,6 +311,33 @@ LINEAR6 = {"family": "linear-influence", "params": {"n": 6}}
      "family params lacks 'n'"),
     ("run", {"family": {"family": "linear-influence", "params": {"n": "x"}}, "algo": "plane"},
      "family params 'n' must be a number"),
+    # counts must be whole and booleans are not numbers
+    ("run", {"family": {"family": "linear-influence", "params": {"n": 6.7}}, "algo": "plane",
+             "seeds": [0]}, "family params 'n' must be a whole number"),
+    ("run", {"family": {"family": "linear-influence", "params": {"n": 6, "k": 2.5}},
+             "algo": "block-update", "seeds": [0]}, "family params 'k' must be a whole number"),
+    ("run", {"family": {"family": "linear-influence", "params": {"n": float("inf")}},
+             "algo": "plane", "seeds": [0]}, "family params 'n' must be a whole number"),
+    ("run", {"family": LINEAR6, "algo": "block-update", "algo_params": {"blocks": 3.9},
+             "seeds": [0]}, "config algo_params 'blocks' must be a whole number"),
+    ("run", {"family": LINEAR6, "algo": "plane", "algo_params": {"alpha": True},
+             "seeds": [0]}, "config algo_params 'alpha' must be a number"),
+    ("run", {"family": {"family": "linear-influence", "params": {"n": True}}, "algo": "plane",
+             "seeds": [0]}, "family params 'n' must be a number"),
+    ("run", {"family": {"family": "linear-influence", "params": {"n": 6, "c": True}},
+             "algo": "plane", "seeds": [0]}, "family params 'c' must be a number"),
+    ("run", {"family": LINEAR6, "algo": "plane", "oracle": "sampling", "beta": True},
+     "config 'beta' must be a number or null"),
+    ("run", {"family": LINEAR6, "algo": "plane", "seeds": [True]},
+     "config 'seeds' must hold integers"),
+    ("verify", {"family": "linear-influence", "params": {"n": 6.5}, "seed": 1},
+     "family params 'n' must be a whole number"),
+    ("verify", {"family": "linear-influence", "params": {"n": 6}, "seed": True},
+     "game descriptor 'seed' must be an integer"),
+    ("verify", {"n": True, "k": 2, "c": 1.0, "payoffs": [0.5, 0.5]},
+     "tensor game 'n' must be a number"),
+    ("verify", {"n": 1, "k": 2.5, "c": 1.0, "payoffs": [0.5, 0.5]},
+     "tensor game 'k' must be a whole number"),
 ])
 def test_malformed_json_is_an_input_error(tmp_path, capsys, command, obj, message):
     path = tmp_path / "input.json"
@@ -290,6 +352,20 @@ def test_malformed_json_is_an_input_error(tmp_path, capsys, command, obj, messag
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_integral_floats_and_nulls_in_a_config_run_as_their_values(tmp_path, capsys):
+    def run(family_params, algo_params):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "family": {"family": "linear-influence", "params": family_params},
+            "algo": "block-update", "algo_params": algo_params, "seeds": [0]}))
+        assert main(["run", "--config", str(path)]) == 0
+        return capsys.readouterr().out
+
+    expected = run({"n": 6, "k": 3}, {"blocks": 4})
+    assert run({"n": 6.0, "k": 3.0}, {"blocks": 4.0}) == expected
+    assert run({"n": 6, "k": 3}, {"blocks": None}) == run({"n": 6, "k": 3}, {})
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -60,6 +60,13 @@ def test_curve_flow_matches_plane_flow_at_c1():
     assert np.abs(a.p - b.p).max() <= 1e-12
 
 
+@pytest.mark.parametrize("c", [0.0, float("nan"), float("inf")])
+def test_curve_flow_rejects_a_budget_that_is_not_finite_and_positive(c):
+    g = lg.gen_linear_influence(4, 2, 1.0, seed=0)
+    with pytest.raises(ValueError, match="c must be finite and positive"):
+        lg.simulate_curve_flow(g, c, H, 0.01)
+
+
 def test_curve_flow_saturation():
     g = lg.IndependentGame(np.tile([0.05, 0.95], (6, 1)), c=0.25)
     tr = lg.simulate_curve_flow(g, 0.25, H, 1.0)

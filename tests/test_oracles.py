@@ -201,6 +201,19 @@ def test_exact_mixed_counts_separately():
     assert sess.qm_calls == 1 and sess.pure_queries == 0
 
 
+def test_table_source_is_exact_mixed_or_the_sampled_values():
+    g = lg.gen_linear_influence(5, 3, 1.0, seed=1)
+    probs = lg.MixedProfile.uniform(5, 3).probs
+    sess = lg.OracleSession(g, seed=4)
+    assert sess.table_source("exact", sess.sample_mixed_kaction, 0.5, 0.3) == sess.exact_mixed
+    sampled = sess.table_source("sampling", sess.sample_mixed_kaction, 0.5, 0.3)(probs)
+    twin = lg.OracleSession(g, seed=4)
+    assert np.array_equal(sampled, twin.sample_mixed_kaction(probs, 0.5, 0.3).values)
+    assert sess.pure_queries == twin.pure_queries
+    with pytest.raises(ValueError, match="oracle mode must be 'exact' or 'sampling'"):
+        sess.table_source("bogus", sess.sample_mixed_kaction, 0.5, 0.3)
+
+
 def test_exact_mixed_scales_to_large_n():
     g = lg.gen_linear_influence(1000, 2, 1.0, seed=0)
     sess = lg.OracleSession(g, seed=0)
