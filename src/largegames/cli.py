@@ -24,34 +24,41 @@ from . import blocks, families, runner
 from .games import MixedProfile, regret_report
 
 
+FAMILY_FLAGS = {key: cast for _, reads in families.FAMILIES.values()
+                for key, (cast, _) in reads.items()}
+
+
 def _parse_seeds(text: str) -> list[int]:
     """'0:50' is the half-open range, '1,2,3' an explicit list, '' empty."""
-    if not text:
-        return []
-    if ":" in text:
-        lo, hi = text.split(":")
-        seeds = list(range(int(lo), int(hi)))
-        if not seeds:
-            raise ValueError(f"seed range {text!r} is empty")
-        return seeds
-    return [int(s) for s in text.split(",") if s]
+    if ":" not in text:
+        return _parse_grid("seeds", text, int)
+    try:
+        lo, hi = map(int, text.split(":"))
+    except ValueError:
+        raise ValueError(f"--seeds: expected a range lo:hi, got {text!r}") from None
+    seeds = list(range(lo, hi))
+    if not seeds:
+        raise ValueError(f"seed range {text!r} is empty")
+    return seeds
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+def _parse_grid(flag: str, text: str, cast) -> list:
+    """The comma-separated grid given for --flag."""
+    try:
+        return [cast(x) for x in text.split(",") if x]
+    except ValueError:
+        kind = "integers" if cast is int else "numbers"
+        raise ValueError(f"--{flag}: expected comma-separated {kind}, got {text!r}") from None
 
 
 def _family_params(args) -> dict:
-    params = {"n": args.n, "k": args.k, "c": args.c}
-    if args.family == "lower-bound":
-        params = {"n": args.n, "ell": args.ell}
-    if args.family == "tiny-tensor" and args.gamma is not None:
-        params["gamma"] = args.gamma
-    return params
+    """n, each family flag given and the defaults of the other params the family reads."""
+    _, reads = families.FAMILIES[args.family]
+    given = {key: getattr(args, key) for key in FAMILY_FLAGS if getattr(args, key) is not None}
+    for key in (key for key in given if key not in reads):
+        raise ValueError(f"family {args.family!r} does not read --{key}")
+    return {"n": args.n} | {key: value for key, (_, value) in reads.items()
+                            if value is not None} | given
 
 
 def cmd_generate(args) -> int:
@@ -90,12 +97,12 @@ def cmd_run(args) -> int:
             beta=args.beta, delta=args.delta, seeds=_parse_seeds(args.seeds),
             out=args.out, trace=args.trace)
 
-    out_dir = config.out
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    all_ok = True
     results = runner.parallel_over_seeds(lambda s: runner.run_one(config, s),
                                          config.seeds)
+    out_dir = config.out
+    if out_dir:  # only once every run has returned
+        os.makedirs(out_dir, exist_ok=True)
+    all_ok = True
     for seed, (report, _, trajectory) in zip(config.seeds, results):
         if report.extra.get("bound_ok") is False:
             all_ok = False
@@ -111,29 +118,30 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    params = {key: _parse_grid(key, value, FAMILY_FLAGS.get(key, int))  # n is an int
+              if isinstance(value, str) else [value]  # a default, --ell or --gamma
+              for key, value in _family_params(args).items()}
+    blocks_grid = _parse_grid("blocks", args.blocks, runner.PARAMS["blocks"][0])
+    if (args.compare_bounds or args.bu_bounds) and not {"c", "k"} <= params.keys():
+        raise ValueError(f"family {args.family!r} has no c and k to tabulate bounds over")
     if args.compare_bounds:
-        rows = blocks.compare_methods(_parse_floats(args.c))
+        rows = blocks.compare_methods(params["c"])
         cols = ["c", "curve_bound", "block_bound"]
-        text = runner.rows_to_csv(rows, cols)
     elif args.bu_bounds:
-        rows = blocks.bound_table(_parse_floats(args.c), _parse_ints(args.k),
-                                  _parse_ints(args.blocks))
+        rows = blocks.bound_table(params["c"], params["k"], blocks_grid)
         cols = ["c", "k", "N", "epsilon_case", "epsilon"]
-        text = runner.rows_to_csv(rows, cols)
     else:
         rows = runner.sweep_rows(
             algos=[a for a in args.algo.split(",") if a],
             family=args.family,
-            ns=_parse_ints(args.n),
-            cs=_parse_floats(args.c),
-            ks=_parse_ints(args.k),
-            alphas=_parse_floats(args.alpha),
-            blocks_grid=_parse_ints(args.blocks),
+            params=params,
+            alphas=_parse_grid("alpha", args.alpha, runner.PARAMS["alpha"][0]),
+            blocks_grid=blocks_grid,
             seeds=_parse_seeds(args.seeds),
             oracle=args.oracle, eta=args.eta, beta=args.beta, delta=args.delta,
             timing=args.timing)
         cols = list(runner.SWEEP_COLUMNS) + (["wall_ms"] if args.timing else [])
-        text = runner.rows_to_csv(rows, cols)
+    text = runner.rows_to_csv(rows, cols)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -181,14 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", default="linear-influence", choices=families.FAMILIES)
         if grids:  # parsed by cmd_sweep; the -grid spellings are aliases
             p.add_argument("--n", "--n-grid", default="50", help=grid)
-            p.add_argument("--k", "--k-grid", default="2", help=grid)
-            p.add_argument("--c", default="1.0", help=grid)
         else:
             p.add_argument("--n", type=int, default=50)
-            p.add_argument("--k", type=int, default=2)
-            p.add_argument("--c", type=float, default=1.0)
-        p.add_argument("--ell", type=float, default=4.0)
-        p.add_argument("--gamma", type=float, default=None)
+        for key, cast in FAMILY_FLAGS.items():
+            grid_flag = grids and key in ("k", "c")  # the sweep CSV has a column for each
+            p.add_argument(f"--{key}", *(["--k-grid"] if grid_flag and key == "k" else []),
+                           type=str if grid_flag else cast, help=grid if grid_flag else None)
 
     gen = sub.add_parser("generate", help="write a family descriptor (or explicit tensor)")
     add_family(gen)

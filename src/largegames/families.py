@@ -250,9 +250,19 @@ def gen_tiny_tensor(n: int, k: int, gamma: float, seed: int) -> TensorGame:
 
 
 # ---------------------------------------------------------------------------
-# descriptors
+# the family table and descriptors
 
-FAMILIES = ("linear-influence", "lower-bound", "tiny-tensor")
+# family name: (builder, {each param read besides n: (type, default)}).  The
+# builder takes n, those params in order and the seed; a default of None leaves
+# the param to the builder (an unset gamma is c / n).  A family that does not
+# read k is binary.
+FAMILIES = {
+    "linear-influence": (gen_linear_influence, {"k": (int, 2), "c": (float, 1.0)}),
+    "lower-bound": (gen_lower_bound, {"ell": (float, 4.0)}),
+    "tiny-tensor": (lambda n, k, c, gamma, seed: gen_tiny_tensor(
+                        n, k, c / n if gamma is None else gamma, seed),
+                    {"k": (int, 2), "c": (float, 1.0), "gamma": (float, None)}),
+}
 
 
 def check_object(obj, keys, what: str, numbers=()):
@@ -271,28 +281,24 @@ def check_object(obj, keys, what: str, numbers=()):
             raise ValueError(f"{what} {key!r} must be a whole number")
 
 
-def check_family(family: str, params) -> None:
-    """Raise ValueError unless ``family`` is known and ``params`` is a JSON
-    object with a number under "n" and under every other key it sets."""
+def check_family(family: str, params) -> dict:
+    """Raise ValueError unless ``family`` is in the table and ``params`` a JSON
+    object with a number under "n" and under each other key, a param the family
+    reads.  Return n and every param it reads, cast, with defaults filled in."""
     if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-    check_object(params, ("n",), "family params", numbers=("n", "k", "c", "ell", "gamma"))
+        raise ValueError(f"unknown family {family!r}; choose from {tuple(FAMILIES)}")
+    _, reads = FAMILIES[family]
+    check_object(params, ("n",), "family params", numbers=("n", *reads))
+    for key in (key for key in params if key != "n" and key not in reads):
+        raise ValueError(f"family {family!r} does not read {key!r}")
+    return {"n": int(params["n"])} | {key: cast(params[key]) if key in params else default
+                                      for key, (cast, default) in reads.items()}
 
 
 def make_game(family: str, params: dict, seed: int) -> Game:
-    check_family(family, params)
-    if family == "linear-influence":
-        return gen_linear_influence(int(params["n"]), int(params.get("k", 2)),
-                                    float(params.get("c", 1.0)), seed)
-    if family == "lower-bound":
-        return gen_lower_bound(int(params["n"]), float(params.get("ell", 4.0)), seed)
-    n = int(params["n"])  # tiny-tensor
-    k = int(params.get("k", 2))
-    if "gamma" in params:
-        gamma = float(params["gamma"])
-    else:
-        gamma = float(params.get("c", 1.0)) / n
-    return gen_tiny_tensor(n, k, gamma, seed)
+    values = check_family(family, params).values()
+    build, _ = FAMILIES[family]
+    return build(*values, seed)
 
 
 def descriptor(family: str, params: dict, seed: int) -> dict:

@@ -226,15 +226,15 @@ SWEEP_COLUMNS = ["algorithm", "family", "n", "c", "k", "alpha", "eta", "beta",
                  "delta", "blocks", "seed", "max_regret", "pure_queries", "qm_calls"]
 
 
-def sweep_rows(algos, family: str, ns, cs, ks, alphas, blocks_grid, seeds,
+def sweep_rows(algos, family: str, params: dict, alphas, blocks_grid, seeds,
                oracle: str = "exact", eta: float = PARAMS["eta"][1],
                beta: float | None = None, delta: float | None = None,
                timing: bool = False) -> list[dict]:
     """Cross product of the parameter grids, one row per run.
 
-    The alpha grid only multiplies runs of algorithms that read alpha (the
-    banded dynamics) and the blocks grid only those that read blocks
-    (block-update); other algorithms run once per (n, c, k, seed) cell.
+    ``params`` maps "n" and params the family reads to grids.  The alpha grid
+    only multiplies algorithms that read alpha (the banded dynamics) and the
+    blocks grid those that read blocks (block-update); rows hold n, c and k of the game.
     """
     alphas = list(alphas) or [PARAMS["alpha"][1]]
     blocks_grid = list(blocks_grid) or [PARAMS["blocks"][1]]
@@ -244,15 +244,16 @@ def sweep_rows(algos, family: str, ns, cs, ks, alphas, blocks_grid, seeds,
             raise ValueError(f"unknown algorithm {algo!r}")
         entry = ALGOS[algo]
         by_alpha, by_blocks = "alpha" in entry.reads, "blocks" in entry.reads
-        for n, c, k, alpha, blocks_n in itertools.product(
-                ns, cs, ks, alphas if by_alpha else alphas[:1],
+        for *cell, alpha, blocks_n in itertools.product(
+                *params.values(), alphas if by_alpha else alphas[:1],
                 blocks_grid if by_blocks else blocks_grid[:1]):
-            if entry.binary_only and k != 2:
-                continue
             config = ExperimentConfig(
-                family={"family": family, "params": {"n": n, "k": k, "c": c}},
+                family={"family": family, "params": dict(zip(params, cell))},
                 algo=algo, algo_params={"alpha": alpha, "eta": eta, "blocks": blocks_n},
                 oracle=oracle, beta=beta, delta=delta, seeds=list(seeds))
+            k = families.check_family(family, config.family["params"]).get("k", 2)
+            if entry.binary_only and k != 2:  # a family that does not read k is binary
+                continue
 
             def timed(seed, config=config):
                 start = time.perf_counter()
@@ -261,8 +262,8 @@ def sweep_rows(algos, family: str, ns, cs, ks, alphas, blocks_grid, seeds,
 
             for seed, (report, wall_ms) in zip(config.seeds,
                                                parallel_over_seeds(timed, config.seeds)):
-                row = {"algorithm": algo, "family": family, "n": n, "c": c, "k": k,
-                       "alpha": alpha if by_alpha else "", "eta": eta if by_alpha else "",
+                row = {"algorithm": algo, "family": family, "n": report.n, "c": report.c,
+                       "k": k, "alpha": alpha if by_alpha else "", "eta": eta if by_alpha else "",
                        "beta": "" if beta is None else beta,
                        "delta": "" if delta is None else delta,
                        "blocks": blocks_n if by_blocks else "", "seed": seed,

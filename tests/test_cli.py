@@ -193,11 +193,30 @@ def test_sweep_grid_flags_and_their_grid_aliases_write_the_same_bytes(tmp_path):
     assert len(rows) == 4 + 8 + 16
 
 
+@pytest.mark.parametrize("family,algo,n,flag,values", [
+    ("lower-bound", "one-step", "6", "--ell", ("3", "40")),
+    ("tiny-tensor", "uniform", "4", "--gamma", ("0.1", "0.9")),
+])
+def test_family_flags_reach_the_games_a_sweep_builds(capsys, family, algo, n, flag, values):
+    regrets = set()
+    for value in values:
+        argv = ["--family", family, "--algo", algo, "--n", n, "--seeds", "0:1", flag, value]
+        assert main(["sweep", *argv]) == 0
+        header, line = capsys.readouterr().out.splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        assert main(["run", *argv]) == 0
+        report = json.loads(capsys.readouterr().out)
+        # the row is labelled with the c of the game it ran, as run reports it
+        assert (row["c"], row["max_regret"]) == (repr(report["c"]), repr(report["max_regret"]))
+        regrets.add(row["max_regret"])
+    assert len(regrets) == 2
+
+
 def test_sweep_sampling_query_counts_match_formula():
     import math
 
-    rows = runner.sweep_rows(["plane"], "linear-influence", ns=[5], cs=[1.0],
-                             ks=[2], alphas=[0.2, 0.3], blocks_grid=[100],
+    rows = runner.sweep_rows(["plane"], "linear-influence", {"n": [5], "k": [2], "c": [1.0]},
+                             alphas=[0.2, 0.3], blocks_grid=[100],
                              seeds=[0], oracle="sampling", eta=0.1, beta=0.5)
     assert len(rows) == 2
     for row in rows:
@@ -244,6 +263,38 @@ def test_thread_cap_must_be_an_integer(monkeypatch):
      "c must be finite and positive"),
     (["run", "--algo", "curve-flow", "--algo-c", "inf", "--n", "6"], None,
      "c must be finite and positive"),
+    # a family flag the family does not read, before any run or CSV row
+    (["sweep", "--family", "lower-bound", "--algo", "uniform", "--n", "6", "--c", "0.5,2",
+      "--seeds", "0:1"], None, "family 'lower-bound' does not read --c"),
+    (["sweep", "--family", "lower-bound", "--algo", "block-update", "--n", "6", "--k", "2,3",
+      "--blocks", "3", "--seeds", "0:1"], None, "family 'lower-bound' does not read --k"),
+    (["run", "--family", "lower-bound", "--algo", "block-update", "--n", "6", "--k", "3",
+      "--blocks", "3"], None, "family 'lower-bound' does not read --k"),
+    (["generate", "--family", "linear-influence", "--n", "6", "--gamma", "0.5"], None,
+     "family 'linear-influence' does not read --gamma"),
+    (["run", "--family", "tiny-tensor", "--n", "3", "--ell", "3"], None,
+     "family 'tiny-tensor' does not read --ell"),
+    (["sweep", "--bu-bounds", "--family", "lower-bound"], None,
+     "family 'lower-bound' has no c and k to tabulate bounds over"),
+    # a bad grid or seed list names its flag and the type expected
+    (["sweep", "--algo", "plane", "--n-grid", "x"], None,
+     "--n: expected comma-separated integers, got 'x'"),
+    (["sweep", "--algo", "plane", "--n", "5.5", "--seeds", "0:1"], None,
+     "--n: expected comma-separated integers, got '5.5'"),
+    (["sweep", "--algo", "block-update", "--k", "2,x", "--seeds", "0:1"], None,
+     "--k: expected comma-separated integers, got '2,x'"),
+    (["sweep", "--algo", "plane", "--c", "1,two", "--seeds", "0:1"], None,
+     "--c: expected comma-separated numbers, got '1,two'"),
+    (["sweep", "--algo", "plane", "--alpha", "x", "--seeds", "0:1"], None,
+     "--alpha: expected comma-separated numbers, got 'x'"),
+    (["sweep", "--algo", "block-update", "--blocks-grid", "3.5", "--seeds", "0:1"], None,
+     "--blocks: expected comma-separated integers, got '3.5'"),
+    (["run", "--seeds", "3:x"], None,
+     "--seeds: expected a range lo:hi, got '3:x'"),
+    (["sweep", "--algo", "plane", "--seeds", "0:1:2"], None,
+     "--seeds: expected a range lo:hi, got '0:1:2'"),
+    (["run", "--n", "6", "--seeds", "0,y"], None,
+     "--seeds: expected comma-separated integers, got '0,y'"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, argv, threads, message):
     if threads is not None:
@@ -260,7 +311,7 @@ def test_an_infinite_curve_budget_writes_no_report(tmp_path, capsys, algo):
     assert main(["run", "--algo", algo, "--algo-c", "inf", "--n", "6",
                  "--out", str(out_dir)]) == 2
     assert capsys.readouterr().out == ""
-    assert not (out_dir / "report_seed0.json").exists()
+    assert not out_dir.exists()  # made only once every run has returned
 
 
 def test_verify_mismatched_profile_is_an_input_error(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 import largegames as lg
 from largegames import binary, blocks, continuous, families, oracles, runner
+from largegames.cli import main
 from largegames.games import BATCH_ROWS
 from references import pairwise_payoffs
 
@@ -286,6 +287,43 @@ def test_descriptor_all_families():
             families.descriptor(family, params, 1)))
         again = families.game_from_descriptor(desc)
         assert type(again) is type(game)
+
+
+# each family with n and every param it reads, and a family flag it does not read
+FAMILY_PARAMS = [
+    ("linear-influence", {"n": 4, "k": 3, "c": 0.5}, "ell"),
+    ("lower-bound", {"n": 4, "ell": 5.0}, "k"),
+    ("tiny-tensor", {"n": 3, "k": 2, "c": 0.9, "gamma": 0.25}, "ell"),
+]
+
+
+@pytest.mark.parametrize("family,params,other", FAMILY_PARAMS)
+def test_each_family_builds_from_the_params_it_reads_and_rejects_another(
+        tmp_path, capsys, family, params, other):
+    assert params.keys() == {"n", *families.FAMILIES[family][1]}
+    built = families.game_from_descriptor(families.descriptor(family, params, 1))
+    probs = lg.MixedProfile.uniform(built.n, built.k)
+    table = lg.mixed_payoff_table(built, probs)
+
+    # the CLI writes the same params, and the descriptor rebuilds the same game
+    out = tmp_path / "game.json"
+    flags = [arg for key, value in params.items() for arg in (f"--{key}", str(value))]
+    assert main(["generate", "--family", family, *flags, "--seed", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["params"] == params
+    again = families.game_from_json(out.read_text())
+    assert np.array_equal(lg.mixed_payoff_table(again, probs), table)
+    config = runner.ExperimentConfig(family={"family": family, "params": params},
+                                     algo="uniform", seeds=[1])
+    assert runner.run_one(config, 1)[0].n == built.n
+
+    message = f"family {family!r} does not read {other!r}"
+    with pytest.raises(ValueError, match=message):
+        families.game_from_descriptor(families.descriptor(family, params | {other: 2}, 1))
+    with pytest.raises(ValueError, match=message):
+        runner.ExperimentConfig(family={"family": family, "params": params | {other: 2}},
+                                algo="uniform")
+    assert main(["generate", "--family", family, *flags, f"--{other}", "2"]) == 2
+    assert capsys.readouterr().err == f"error: family {family!r} does not read --{other}\n"
 
 
 def test_unknown_family_rejected():
