@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Measured vs predicted pure-query spend of the sampled banded dynamics
-as the accuracy target varies (relaxed sampling accuracy to stay cheap)."""
+as the accuracy target varies (relaxed sampling accuracy to stay cheap).
+
+Exits 1 when a run's spend differs from the predicted budget.
+"""
 
 import argparse
 import math
+import sys
 
 import largegames as lg
 
@@ -18,6 +22,7 @@ def main():
     args = parser.parse_args()
 
     print("alpha,rounds,predicted_queries,measured_queries,max_regret")
+    mismatched = []
     for alpha in (float(a) for a in args.alphas.split(",")):
         params = lg.DynamicsParams(alpha=alpha, eta=args.eta)
         predicted = (params.rounds + 1) * math.ceil(
@@ -26,10 +31,15 @@ def main():
         session = lg.OracleSession(game, seed=args.seed)
         _, report = lg.plane_dynamics(session, params, mode="sampling",
                                       sample_beta=args.beta)
-        assert report.pure_queries == predicted
+        if report.pure_queries != predicted:
+            mismatched.append(f"alpha={alpha} spent {report.pure_queries} pure queries, "
+                              f"predicted {predicted}")
         print(f"{alpha},{params.rounds},{predicted},{report.pure_queries},"
               f"{report.max_regret}")
+    for line in mismatched:
+        print(f"error: {line}", file=sys.stderr)
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

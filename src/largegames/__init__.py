@@ -11,15 +11,7 @@ from .games import (
     RegretReport,
     TensorGame,
     check_largeness,
-    constant_game,
-    discrepancy,
-    eval_pure,
-    expected_payoff,
-    independent_binary_game,
-    is_approx_ne,
-    is_wsne,
     mixed_payoff_table,
-    regret,
     regret_report,
 )
 from .oracles import (
@@ -59,7 +51,6 @@ from .blocks import (
     compare_methods,
     left_sum,
     max_left_sum,
-    worst_case_total_regret,
 )
 from .reports import RunReport
 

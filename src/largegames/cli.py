@@ -26,6 +26,16 @@ from .games import MixedProfile, regret_report
 
 FAMILY_FLAGS = {key: cast for _, reads in families.FAMILIES.values()
                 for key, (cast, _) in reads.items()}
+# the defaults of the flags no table owns; run's flags but --downsample default
+# to unset, so that a flag given beside --config can be told from a default
+DEFAULTS = {"family": "linear-influence", "n": 50, "algo": "plane", "oracle": "exact",
+            "seeds": "0:1"}
+# the run flag (its dest) of each algo_params key
+ALGO_FLAGS = {key: "algo_c" if key == "c" else key for key in runner.PARAMS}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -79,21 +89,35 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _algo_params(args) -> dict:
+    """The algorithm flags given; the runner fills in the defaults of the others."""
+    reads = runner.ALGOS[args.algo].reads
+    given = {key: getattr(args, dest) for key, dest in ALGO_FLAGS.items()
+             if getattr(args, dest) is not None}
+    for key in (key for key in given if key not in reads):
+        raise ValueError(f"algorithm {args.algo!r} does not read {_flag(ALGO_FLAGS[key])}")
+    return given
+
+
 def cmd_run(args) -> int:
     if args.downsample < 1:  # before any run or output file
         raise ValueError("downsample factor must be >= 1")
-    if args.config:
+    if args.config:  # the file sets everything but --out and --downsample
+        for key, value in vars(args).items():
+            if value is not None and key not in ("command", "func", "config", "out",
+                                                 "downsample"):
+                raise ValueError(f"{_flag(key)} cannot be given with --config")
         with open(args.config) as fh:
             config = runner.ExperimentConfig.from_dict(json.load(fh))
         if args.out:
             config.out = args.out
     else:
-        flag = {"c": "algo_c"}
-        algo_params = {key: getattr(args, flag.get(key, key))
-                       for key in runner.ALGOS[args.algo].reads}
+        for key, value in DEFAULTS.items():
+            if getattr(args, key) is None:
+                setattr(args, key, value)
         config = runner.ExperimentConfig(
             family={"family": args.family, "params": _family_params(args)},
-            algo=args.algo, algo_params=algo_params, oracle=args.oracle,
+            algo=args.algo, algo_params=_algo_params(args), oracle=args.oracle,
             beta=args.beta, delta=args.delta, seeds=_parse_seeds(args.seeds),
             out=args.out, trace=args.trace)
 
@@ -182,15 +206,18 @@ def build_parser() -> argparse.ArgumentParser:
                  "default it to their step")
     delta_help = ("sampling failure probability; exact mode ignores it, and so do plane, "
                   "plane-comm and curve, which derive delta as eta/rounds")
+    algo_c_help = "influence budget c for %s (defaults to the game's)" % ", ".join(
+        name for name, entry in runner.ALGOS.items() if "c" in entry.reads)
 
     grid = "comma-separated grid"
 
-    def add_family(p, grids=False):
-        p.add_argument("--family", default="linear-influence", choices=families.FAMILIES)
+    def add_family(p, grids=False, unset=False):
+        p.add_argument("--family", default=None if unset else DEFAULTS["family"],
+                       choices=families.FAMILIES)
         if grids:  # parsed by cmd_sweep; the -grid spellings are aliases
-            p.add_argument("--n", "--n-grid", default="50", help=grid)
+            p.add_argument("--n", "--n-grid", default=str(DEFAULTS["n"]), help=grid)
         else:
-            p.add_argument("--n", type=int, default=50)
+            p.add_argument("--n", type=int, default=None if unset else DEFAULTS["n"])
         for key, cast in FAMILY_FLAGS.items():
             grid_flag = grids and key in ("k", "c")  # the sweep CSV has a column for each
             p.add_argument(f"--{key}", *(["--k-grid"] if grid_flag and key == "k" else []),
@@ -205,24 +232,19 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_generate)
 
     run = sub.add_parser("run", help="run one algorithm over seeds")
-    add_family(run)
-    run.add_argument("--config", default=None, help="JSON ExperimentConfig to load")
-    run.add_argument("--algo", default="plane", choices=list(runner.ALGOS))
-    run.add_argument("--oracle", default="exact", choices=["exact", "sampling"])
-    run.add_argument("--alpha", type=float, default=default["alpha"])
-    run.add_argument("--eta", type=float, default=default["eta"])
-    run.add_argument("--beta", type=float, default=None, help=beta_help)
-    run.add_argument("--delta", type=float, default=None, help=delta_help)
-    run.add_argument("--algo-c", type=float, default=None,
-                     help="influence budget c for %s (defaults to the game's)" % ", ".join(
-                         name for name, entry in runner.ALGOS.items() if "c" in entry.reads))
-    run.add_argument("--blocks", type=int, default=default["blocks"])
-    run.add_argument("--step-h", type=float, default=default["step_h"], dest="step_h")
-    run.add_argument("--horizon", type=float, default=default["horizon"])
+    add_family(run, unset=True)
+    run.add_argument("--config", help="JSON ExperimentConfig to load")
+    run.add_argument("--algo", choices=list(runner.ALGOS))
+    run.add_argument("--oracle", choices=["exact", "sampling"])
+    for key, dest in ALGO_FLAGS.items():
+        run.add_argument(_flag(dest), type=runner.PARAMS[key][0],
+                         help=algo_c_help if key == "c" else None)
+    run.add_argument("--beta", type=float, help=beta_help)
+    run.add_argument("--delta", type=float, help=delta_help)
     run.add_argument("--downsample", type=int, default=1)
-    run.add_argument("--seeds", default="0:1")
-    run.add_argument("--out", default=None)
-    run.add_argument("--trace", default=None,
+    run.add_argument("--seeds")
+    run.add_argument("--out")
+    run.add_argument("--trace",
                      help="JSON-lines query trace path; '{seed}' expands per seed")
     run.set_defaults(func=cmd_run)
 

@@ -4,9 +4,10 @@ A game here is an n-player, k-action payoff structure with utilities in
 [0, 1] and a declared influence budget c: no single opponent's action
 switch may move a player's payoff by more than gamma = c/n.  A game is
 evaluated in one place, ``payoffs_batch``.  This module provides the
-exact evaluators (pure profiles, expected payoffs under mixed profiles)
-and the verifiers (regret, discrepancy, approximate-NE, well-supported
-NE, largeness) that every algorithm in the package is tested against.
+exact evaluators (``Game.payoffs`` for one pure profile,
+``mixed_payoff_table`` for expected payoffs under a mixed profile) and
+the verifiers (``regret_report`` for regret, discrepancy and
+well-supported slack, ``check_largeness``) that grade every algorithm.
 
 All types are immutable after construction and every operation is pure,
 so values can be shared freely across threads.  There are two
@@ -289,64 +290,14 @@ class IndependentGame(Game):
         return self.values.copy()
 
 
-def independent_binary_game(n: int, hi: float = 0.7, lo: float = 0.3, c: float = 1.0) -> IndependentGame:
-    """Binary game paying hi for action 1 and lo for action 0, no cross influence."""
-    return IndependentGame(np.tile([lo, hi], (n, 1)), c=c)
-
-
-def constant_game(n: int, k: int = 2, value: float = 0.5, c: float = 1.0) -> IndependentGame:
-    return IndependentGame(np.full((n, k), value), c=c)
-
-
-# ---------------------------------------------------------------------------
-# expected payoffs
-
-def _check_profile(game: Game, profile: MixedProfile) -> MixedProfile:
-    if profile.n != game.n or profile.k != game.k:
-        raise ValueError("profile shape does not match game")
-    return profile
-
-
-def expected_payoff(game: Game, profile: MixedProfile, player: int, action: int) -> float:
-    """E[u_player(action, a_-player)] with opponents drawn from the profile."""
-    _check_profile(game, profile)
-    if not 0 <= player < game.n:
-        raise ValueError("player out of range")
-    if not 0 <= action < game.k:
-        raise ValueError("action out of range")
-    return float(game.mixed_payoff_table(profile.probs)[player, action])
-
-
-def mixed_payoff_table(game: Game, profile: MixedProfile) -> np.ndarray:
-    """Matrix of expected payoffs, entry (i, j) = E[u_i(j, a_-i)]."""
-    return game.mixed_payoff_table(_check_profile(game, profile).probs)
-
-
 # ---------------------------------------------------------------------------
 # verifiers
 
-def eval_pure(game: Game, actions) -> np.ndarray:
-    """Payoff vector for one pure profile."""
-    return game.payoffs(actions)
-
-
-def regrets_from_table(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    current = np.sum(table * probs, axis=1)
-    return np.maximum(table.max(axis=1) - current, 0.0)
-
-
-def regret(game: Game, profile: MixedProfile, player: int) -> float:
-    """Best achievable expected payoff minus current expected payoff."""
-    table = mixed_payoff_table(game, profile)
-    return float(regrets_from_table(table, profile.probs)[player])
-
-
-def discrepancy(game: Game, profile: MixedProfile, player: int) -> float:
-    """|E[u_i(0, .)] - E[u_i(1, .)]| for binary games."""
-    if game.k != 2:
-        raise ValueError("discrepancy is defined for binary games only")
-    table = mixed_payoff_table(game, profile)
-    return float(abs(table[player, 0] - table[player, 1]))
+def mixed_payoff_table(game: Game, profile: MixedProfile) -> np.ndarray:
+    """Matrix of expected payoffs, entry (i, j) = E[u_i(j, a_-i)]."""
+    if profile.n != game.n or profile.k != game.k:
+        raise ValueError("profile shape does not match game")
+    return game.mixed_payoff_table(profile.probs)
 
 
 @dataclass(frozen=True)
@@ -382,22 +333,10 @@ def regret_report(game: Game, profile: MixedProfile) -> RegretReport:
     table = mixed_payoff_table(game, profile)
     best = table.max(axis=1)
     gaps = best[:, None] - table
-    regs = regrets_from_table(table, profile.probs)
+    regs = np.maximum(best - np.sum(table * profile.probs, axis=1), 0.0)
     disc = np.abs(table[:, 0] - table[:, 1]) if game.k == 2 else None
     return RegretReport(regrets=regs, gaps=gaps, support=profile.support(),
                         discrepancies=disc)
-
-
-def is_approx_ne(game: Game, profile: MixedProfile, eps: float):
-    """(max regret <= eps, full report)."""
-    report = regret_report(game, profile)
-    return bool(report.max_regret <= eps), report
-
-
-def is_wsne(game: Game, profile: MixedProfile, eps: float) -> bool:
-    """True iff every supported action is strictly within eps of the best response."""
-    report = regret_report(game, profile)
-    return bool(report.wsne_slack < eps)
 
 
 @dataclass(frozen=True)
@@ -407,10 +346,6 @@ class LargenessReport:
     worst: float                 # largest payoff change from a unilateral opponent switch
     witness: tuple | None        # (profile, victim, deviator, new action)
     tested: int
-
-    @property
-    def excess(self) -> float:
-        return max(self.worst - self.gamma, 0.0)
 
 
 def check_largeness(game: Game, gamma: float, mode: str = "exhaustive",

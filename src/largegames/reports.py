@@ -11,10 +11,6 @@ import numpy as np
 from .games import CapabilityError, Game, MixedProfile, regret_report
 
 
-def profile_digest(profile: MixedProfile) -> str:
-    return hashlib.sha256(np.ascontiguousarray(profile.probs).tobytes()).hexdigest()[:16]
-
-
 def array_digest(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
@@ -82,6 +78,6 @@ def build_report(algorithm: str, params: dict, session, profile: MixedProfile,
         qm_calls=session.qm_calls,
         max_regret=max_regret,
         regret_summary=summary,
-        profile_digest=profile_digest(profile),
+        profile_digest=array_digest(profile.probs),
         extra=dict(extra or {}),
     )

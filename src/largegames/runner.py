@@ -155,7 +155,7 @@ class ExperimentConfig:
         algo_params = {key: value for key, value in obj.get("algo_params", {}).items()
                        if value is not None}  # null is the default
         families.check_object(algo_params, (), "config algo_params", numbers=list(algo_params))
-        return cls(
+        config = cls(
             family=obj["family"],
             algo=obj["algo"],
             algo_params=algo_params,
@@ -166,6 +166,10 @@ class ExperimentConfig:
             out=obj.get("out"),
             trace=obj.get("trace"),
         )
+        reads = ALGOS[config.algo].reads
+        for key in (key for key in obj.get("algo_params", {}) if key not in reads):
+            raise ValueError(f"algorithm {config.algo!r} does not read {key!r}")
+        return config
 
 
 def max_workers() -> int:

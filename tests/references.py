@@ -26,6 +26,24 @@ def brute_force_max_left_sum(tri: TruncatedTriangle, k: int, pitch: float = 1e-3
     return float(max(0.0, best.max()))
 
 
+def block_regret_cap(c: float, blocks: int, t: int) -> float:
+    """Ceiling on the final optimality gap of the action block t picked."""
+    return min(1.0, 2.0 * c * (blocks - t + 1) / blocks)
+
+
+def worst_case_total_regret(regret_values, caps) -> tuple[float, np.ndarray]:
+    """Greedy allotment: each block takes the largest regret value its cap
+    allows.  Returns the per-player total (mass 1/N per block) and choices."""
+    regs = np.asarray(sorted(float(r) for r in regret_values))
+    caps = np.asarray(caps, dtype=float)
+    n_blocks = caps.shape[0]
+    picks = np.empty(n_blocks)
+    for t, cap in enumerate(caps):
+        allowed = regs[regs <= cap]
+        picks[t] = allowed[-1] if allowed.size else 0.0
+    return float(picks.sum() / n_blocks), picks
+
+
 def linear_payoffs(game, actions):
     """k = 2 linear-influence payoffs of int8 rows as the former batch code computed them."""
     n, w = game.n, game._w

@@ -10,9 +10,9 @@ import numpy as np
 
 import largegames as lg
 from largegames.binary import plane_residual
-from largegames.blocks import TruncatedTriangle, block_regret_cap
+from largegames.blocks import TruncatedTriangle
 from largegames.cli import main
-from references import brute_force_max_left_sum
+from references import block_regret_cap, brute_force_max_left_sum
 
 
 def _report(num, name, ok, detail=""):

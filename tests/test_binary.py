@@ -95,7 +95,7 @@ def test_plane_band_contains():
 def test_uniform_profile():
     p = lg.MixedProfile.uniform(3)
     assert np.allclose(p.binary(), 0.5)
-    g = lg.constant_game(3)
+    g = lg.IndependentGame(np.full((3, 2), 0.5), c=1.0)
     assert lg.regret_report(g, p).max_regret == 0.0
 
 
@@ -124,7 +124,7 @@ def test_one_step_report_records_its_constants():
 
 
 def test_one_step_constant_game_stays_uniform():
-    sess = lg.OracleSession(lg.constant_game(6), seed=0)
+    sess = lg.OracleSession(lg.IndependentGame(np.full((6, 2), 0.5), c=1.0), seed=0)
     profile, report = lg.one_step(sess)
     assert np.allclose(profile.binary(), 0.5)
     assert report.max_regret == 0.0
@@ -152,7 +152,7 @@ def test_one_step_bound_on_seeded_games():
 # two-phase adjustment
 
 def test_two_step_constant_game_tiebreak():
-    sess = lg.OracleSession(lg.constant_game(4), seed=0)
+    sess = lg.OracleSession(lg.IndependentGame(np.full((4, 2), 0.5), c=1.0), seed=0)
     profile, report = lg.two_step(sess)
     # ties break to action 0; its mass becomes 3/4 and never flips
     assert np.allclose(profile.binary(), 0.25)
@@ -425,7 +425,7 @@ def test_curve_dynamics_wsne_consistency_small_budget():
         assert saturated.any()
         assert np.all(pstar[saturated] == 1.0)
         # saturation means the final profile is even a c-supported equilibrium
-        assert lg.is_wsne(g, profile, c + 1e-9)
+        assert lg.regret_report(g, profile).wsne_slack < c + 1e-9
 
 
 # ---------------------------------------------------------------------------

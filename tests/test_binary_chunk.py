@@ -113,7 +113,7 @@ def test_sampling_chunk_matches_reference(monkeypatch, n, chunk):
 GAMES = {
     "stochastic-linear": lambda n: lg.StochasticGame(lg.gen_linear_influence(n, 2, 0.5, seed=n)),
     "lower-bound": lambda n: lg.gen_lower_bound(n, 4.0, n),
-    "independent": lambda n: lg.independent_binary_game(n, hi=0.8, lo=0.1),
+    "independent": lambda n: lg.IndependentGame(np.tile([0.1, 0.8], (n, 1)), c=1.0),
     "tiny-tensor": lambda n: lg.gen_tiny_tensor(n, 2, 0.3, seed=n),
 }
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import largegames as lg
-from largegames.blocks import TruncatedTriangle, block_regret_cap, bound_table
-from references import brute_force_max_left_sum
+from largegames.blocks import TruncatedTriangle, bound_table
+from references import block_regret_cap, brute_force_max_left_sum, worst_case_total_regret
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def test_greedy_allotment_dominates_random_feasible(seed, k):
     regrets = np.sort(rng.random(k))
     regrets[0] = 0.0
     caps = np.array([block_regret_cap(1.0, blocks, t + 1) for t in range(blocks)])
-    greedy_total, picks = lg.worst_case_total_regret(regrets, caps)
+    greedy_total, picks = worst_case_total_regret(regrets, caps)
     assert np.all(picks <= caps + 1e-12)
     for _ in range(25):
         choice = np.empty(blocks)
@@ -127,7 +127,7 @@ def test_greedy_allotment_dominates_random_feasible(seed, k):
 # block reallocation runs
 
 def test_block_update_constant_game():
-    g = lg.constant_game(4, k=2)
+    g = lg.IndependentGame(np.full((4, 2), 0.5), c=1.0)
     profile, report, allocation = lg.block_update(lg.OracleSession(g, seed=0), 20)
     assert np.all(allocation == 0)  # tie-break keeps every block on action 0
     assert report.max_regret == 0.0

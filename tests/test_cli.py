@@ -97,6 +97,22 @@ def test_readme_lists_the_algorithm_table():
     assert re.findall(r"`([^`]+)`", line) == list(runner.ALGOS)
 
 
+def test_readme_lists_the_verifiers():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    bullet = readme.split("- **Exact verifiers**", 1)[1].split("\n- ", 1)[0]
+    names = re.findall(r"`([^`]+)`", bullet)
+    assert "regret_report" in names and "check_largeness" in names
+    for name in names:
+        path = name.removeprefix("largegames.").split(".")
+        for owner in (lg, lg.Game):
+            obj = owner
+            for part in path:
+                obj = getattr(obj, part, None)
+            if obj is not None:
+                break
+        assert obj is not None, name
+
+
 def test_trace_template_required_for_many_seeds():
     with pytest.raises(ValueError):
         runner.ExperimentConfig(
@@ -295,6 +311,34 @@ def test_thread_cap_must_be_an_integer(monkeypatch):
      "--seeds: expected a range lo:hi, got '0:1:2'"),
     (["run", "--n", "6", "--seeds", "0,y"], None,
      "--seeds: expected comma-separated integers, got '0,y'"),
+    # the config file sets every run flag but --out and --downsample; the flags
+    # are checked before the file is read
+    (["run", "--config", "cfg.json", "--algo", "curve"], None,
+     "--algo cannot be given with --config"),
+    (["run", "--config", "cfg.json", "--n", "50"], None, "--n cannot be given with --config"),
+    (["run", "--config", "cfg.json", "--k", "3"], None, "--k cannot be given with --config"),
+    (["run", "--config", "cfg.json", "--oracle", "exact"], None,
+     "--oracle cannot be given with --config"),
+    (["run", "--config", "cfg.json", "--alpha", "0.1"], None,
+     "--alpha cannot be given with --config"),
+    (["run", "--config", "cfg.json", "--algo-c", "2"], None,
+     "--algo-c cannot be given with --config"),
+    (["run", "--config", "cfg.json", "--step-h", "0.1"], None,
+     "--step-h cannot be given with --config"),
+    (["run", "--config", "cfg.json", "--beta", "0.2"], None,
+     "--beta cannot be given with --config"),
+    (["run", "--config", "cfg.json", "--seeds", "0:1"], None,
+     "--seeds cannot be given with --config"),
+    (["run", "--config", "cfg.json", "--trace", "t.jsonl"], None,
+     "--trace cannot be given with --config"),
+    # an algorithm flag the algorithm does not read
+    (["run", "--algo", "one-step", "--n", "6", "--alpha", "0.3", "--blocks", "7",
+      "--step-h", "0.5"], None, "algorithm 'one-step' does not read --alpha"),
+    (["run", "--algo", "block-update", "--n", "6", "--step-h", "0.5"], None,
+     "algorithm 'block-update' does not read --step-h"),
+    (["run", "--n", "6", "--algo-c", "0.5"], None, "algorithm 'plane' does not read --algo-c"),
+    (["run", "--algo", "plane-flow", "--n", "6", "--eta", "0.2"], None,
+     "algorithm 'plane-flow' does not read --eta"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, argv, threads, message):
     if threads is not None:
@@ -389,6 +433,13 @@ LINEAR6 = {"family": "linear-influence", "params": {"n": 6}}
      "tensor game 'n' must be a number"),
     ("verify", {"n": 1, "k": 2.5, "c": 1.0, "payoffs": [0.5, 0.5]},
      "tensor game 'k' must be a whole number"),
+    # an algo_params key the algorithm does not read, a typo or not, even a null one
+    ("run", {"family": LINEAR6, "algo": "plane", "algo_params": {"alpah": 0.3},
+             "seeds": [0]}, "algorithm 'plane' does not read 'alpah'"),
+    ("run", {"family": LINEAR6, "algo": "one-step", "algo_params": {"alpha": 0.3}},
+     "algorithm 'one-step' does not read 'alpha'"),
+    ("run", {"family": LINEAR6, "algo": "curve-flow", "algo_params": {"blocks": None},
+             "seeds": [0]}, "algorithm 'curve-flow' does not read 'blocks'"),
 ])
 def test_malformed_json_is_an_input_error(tmp_path, capsys, command, obj, message):
     path = tmp_path / "input.json"
@@ -403,6 +454,27 @@ def test_malformed_json_is_an_input_error(tmp_path, capsys, command, obj, messag
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_refused_run_inputs_write_no_report(tmp_path, capsys):
+    config = tmp_path / "plane.json"
+    config.write_text(json.dumps({"family": LINEAR6, "algo": "plane", "seeds": [0]}))
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"family": LINEAR6, "algo": "plane",
+                                "algo_params": {"alpah": 0.3}, "seeds": [0]}))
+    out = tmp_path / "out"
+    for argv, message in [
+            (["--config", str(config), "--family", "lower-bound", "--k", "3", "--algo", "curve"],
+             "--family cannot be given with --config"),
+            (["--config", str(typo)], "algorithm 'plane' does not read 'alpah'"),
+            (["--algo", "one-step", "--n", "6", "--alpha", "0.3", "--blocks", "7",
+              "--step-h", "0.5"], "algorithm 'one-step' does not read --alpha")]:
+        assert main(["run", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    # beside a config, --out overrides the file's and --downsample is allowed
+    assert main(["run", "--config", str(config), "--out", str(out), "--downsample", "2"]) == 0
+    assert (out / "report_seed0.json").read_text() == capsys.readouterr().out
 
 
 def test_integral_floats_and_nulls_in_a_config_run_as_their_values(tmp_path, capsys):
@@ -513,8 +585,8 @@ def test_verify_reports_regret(tmp_path, capsys):
     assert out["max_regret"] == pytest.approx(0.2)
 
 
-def _compare_methods(monkeypatch, capsys, *args):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "compare_methods.py"
+def _script(monkeypatch, capsys, name, *args):
+    script = Path(__file__).resolve().parents[1] / "scripts" / name
     monkeypatch.setattr("sys.argv", [str(script), *args])
     with pytest.raises(SystemExit) as exit_info:
         runpy.run_path(str(script), run_name="__main__")
@@ -522,8 +594,8 @@ def _compare_methods(monkeypatch, capsys, *args):
 
 
 def test_compare_methods_prints_the_bounds_its_runs_are_held_to(monkeypatch, capsys):
-    code, out = _compare_methods(monkeypatch, capsys, "--seeds", "1", "--n", "8",
-                                 "--c", "0.5", "--alpha", "0.05", "--blocks", "10")
+    code, out = _script(monkeypatch, capsys, "compare_methods.py", "--seeds", "1", "--n", "8",
+                        "--c", "0.5", "--alpha", "0.05", "--blocks", "10")
     assert code == 0
     row = out.out.splitlines()[1].split(",")
     assert float(row[1]) == lg.curve_regret_bound(0.5, 0.05)
@@ -532,6 +604,24 @@ def test_compare_methods_prints_the_bounds_its_runs_are_held_to(monkeypatch, cap
 
 def test_compare_methods_exits_1_when_a_regret_exceeds_its_bound(monkeypatch, capsys):
     monkeypatch.setattr(lg, "curve_regret_bound", lambda c, alpha=0.0: 0.0)
-    code, out = _compare_methods(monkeypatch, capsys, "--seeds", "1", "--n", "8", "--c", "1")
+    code, out = _script(monkeypatch, capsys, "compare_methods.py", "--seeds", "1", "--n", "8",
+                        "--c", "1")
     assert code == 1
     assert out.err.startswith("error: curve regret")
+
+
+def test_query_cost_sweep_exits_1_when_a_spend_misses_its_budget(monkeypatch, capsys):
+    args = ("--alphas", "0.2,0.3", "--n", "6", "--beta", "0.4")
+    code, out = _script(monkeypatch, capsys, "query_cost_sweep.py", *args)
+    assert (code, out.err) == (0, "")
+    plane = lg.plane_dynamics
+
+    def overspend(*a, **k):
+        profile, report = plane(*a, **k)
+        report.pure_queries += 1
+        return profile, report
+
+    monkeypatch.setattr(lg, "plane_dynamics", overspend)
+    code, out = _script(monkeypatch, capsys, "query_cost_sweep.py", *args)
+    assert code == 1
+    assert out.err.count("\n") == 2 and out.err.startswith("error: alpha=0.2 spent ")

@@ -9,7 +9,7 @@ H = 1e-3
 
 
 def test_constant_game_starts_on_plane_and_stays():
-    g = lg.constant_game(5)
+    g = lg.IndependentGame(np.full((5, 2), 0.5), c=1.0)
     tr = lg.simulate_plane_flow(g, H, 0.3)
     assert np.abs(tr.residual).max() <= 1e-12
     assert np.allclose(tr.p, 0.5)
@@ -18,7 +18,7 @@ def test_constant_game_starts_on_plane_and_stays():
 def test_fixed_gap_crossing_time():
     # discrepancy 0.4 everywhere: the plane sits at best-response mass 0.7,
     # so unit-speed approach enters the 2h band at t = 0.2 - 2h
-    g = lg.independent_binary_game(8, 0.7, 0.3)
+    g = lg.IndependentGame(np.tile([0.3, 0.7], (8, 1)), c=1.0)
     tr = lg.simulate_plane_flow(g, H, 0.5)
     first = tr.first_inside()
     assert np.all(np.abs(first - (0.2 - 2 * H)) <= 2 * H + 1e-12)

@@ -27,11 +27,11 @@ def test_linear_influence_largeness_sampled_many():
 def test_zero_budget_means_independence():
     g = lg.gen_linear_influence(4, 2, 0.0, seed=2)
     a = np.zeros(4, dtype=int)
-    base = lg.eval_pure(g, a)
+    base = g.payoffs(a)
     for j in range(1, 4):
         dev = a.copy()
         dev[j] = 1
-        assert lg.eval_pure(g, dev)[0] == base[0]
+        assert g.payoffs(dev)[0] == base[0]
     # discrepancies identical across opponent profiles
     t1 = lg.mixed_payoff_table(g, lg.MixedProfile.from_binary([0.5, 0.0, 0.0, 0.0]))
     t2 = lg.mixed_payoff_table(g, lg.MixedProfile.from_binary([0.5, 1.0, 1.0, 1.0]))

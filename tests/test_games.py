@@ -7,7 +7,7 @@ from largegames.binary import plane_residual
 
 
 def independent_game(n, hi=0.7, lo=0.3):
-    return lg.independent_binary_game(n, hi=hi, lo=lo)
+    return lg.IndependentGame(np.tile([lo, hi], (n, 1)), c=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -15,40 +15,40 @@ def independent_game(n, hi=0.7, lo=0.3):
 
 def test_eval_pure_independent():
     g = independent_game(2)
-    assert np.allclose(lg.eval_pure(g, [1, 0]), [0.7, 0.3])
+    assert np.allclose(g.payoffs([1, 0]), [0.7, 0.3])
 
 
 def test_eval_pure_constant():
-    g = lg.constant_game(4)
+    g = lg.IndependentGame(np.full((4, 2), 0.5), c=1.0)
     for a in ([0, 0, 0, 0], [1, 0, 1, 1]):
-        assert np.allclose(lg.eval_pure(g, a), 0.5)
+        assert np.allclose(g.payoffs(a), 0.5)
 
 
 def test_eval_pure_tensor_lookup():
     rng = np.random.default_rng(1)
     t = rng.random((2, 2, 2))
     g = lg.TensorGame(t, c=2.0)
-    assert np.allclose(lg.eval_pure(g, [0, 1]), [t[0, 0, 1], t[1, 0, 1]])
+    assert np.allclose(g.payoffs([0, 1]), [t[0, 0, 1], t[1, 0, 1]])
 
 
 def test_eval_pure_rejects_bad_profiles():
     g = independent_game(3)
     with pytest.raises(ValueError):
-        lg.eval_pure(g, [0, 1])
+        g.payoffs([0, 1])
     with pytest.raises(ValueError):
-        lg.eval_pure(g, [0, 1, 2])
+        g.payoffs([0, 1, 2])
 
 
 def test_pure_profiles_reject_fractional_actions():
     g = independent_game(3)
     with pytest.raises(ValueError, match="integers"):
-        lg.eval_pure(g, [1.7, 0, 0])
+        g.payoffs([1.7, 0, 0])
     with pytest.raises(ValueError, match="integers"):
         lg.MixedProfile.pure([0.5, 1], 2)
     for actions in ([float("nan"), 0, 0], [float("inf"), 0, 0]):
         with pytest.raises(ValueError, match="integers"):
-            lg.eval_pure(g, actions)
-    assert np.array_equal(lg.eval_pure(g, [1.0, 0.0, 0.0]), lg.eval_pure(g, [1, 0, 0]))
+            g.payoffs(actions)
+    assert np.array_equal(g.payoffs([1.0, 0.0, 0.0]), g.payoffs([1, 0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +57,7 @@ def test_pure_profiles_reject_fractional_actions():
 def test_expected_payoff_opponent_free():
     g = independent_game(2)
     p = lg.MixedProfile.from_binary([0.3, 0.9])
-    assert lg.expected_payoff(g, p, 0, 1) == pytest.approx(0.7, abs=1e-15)
+    assert lg.mixed_payoff_table(g, p)[0, 1] == pytest.approx(0.7, abs=1e-15)
 
 
 def test_expected_payoff_paid_by_opponent():
@@ -67,8 +67,7 @@ def test_expected_payoff_paid_by_opponent():
     t[1] = 0.5
     g = lg.TensorGame(t, c=2.0)
     p = lg.MixedProfile.from_binary([0.5, 0.25])
-    for j in range(2):
-        assert lg.expected_payoff(g, p, 0, j) == pytest.approx(0.25, abs=1e-15)
+    assert lg.mixed_payoff_table(g, p)[0] == pytest.approx([0.25, 0.25], abs=1e-15)
 
 
 def test_expected_payoff_against_monte_carlo():
@@ -77,6 +76,7 @@ def test_expected_payoff_against_monte_carlo():
     g = lg.TensorGame(t, c=3.0)
     probs = np.array([[0.2, 0.8], [0.55, 0.45], [0.7, 0.3]])
     p = lg.MixedProfile(probs)
+    table = lg.mixed_payoff_table(g, p)
     draws = 10 ** 6
     samples = np.column_stack([rng.random(draws) < probs[l, 1] for l in range(3)]).astype(int)
     for i in range(3):
@@ -84,7 +84,7 @@ def test_expected_payoff_against_monte_carlo():
             forced = samples.copy()
             forced[:, i] = j
             mc = t[(i, *forced.T)].mean()
-            assert lg.expected_payoff(g, p, i, j) == pytest.approx(mc, abs=3e-3)
+            assert table[i, j] == pytest.approx(mc, abs=3e-3)
 
 
 def test_fast_path_matches_enumeration():
@@ -111,7 +111,7 @@ def test_enumeration_guard():
             return g.payoffs_batch(a, out=out)
 
     with pytest.raises(lg.CapabilityError):
-        lg.expected_payoff(Opaque(), lg.MixedProfile.uniform(30, 2), 0, 0)
+        lg.mixed_payoff_table(Opaque(), lg.MixedProfile.uniform(30, 2))
 
 
 class Enumerated(lg.Game):
@@ -122,12 +122,6 @@ class Enumerated(lg.Game):
 
     def payoffs_batch(self, actions, out=None):
         return self.inner.payoffs_batch(actions, out=out)
-
-
-def _every_cell(g, probs):
-    profile = lg.MixedProfile(probs)
-    return np.array([[lg.expected_payoff(g, profile, i, j) for j in range(g.k)]
-                     for i in range(g.n)])
 
 
 def _plane_run(g, probs):
@@ -142,12 +136,12 @@ def _plane_flow(g, probs):
 
 @pytest.mark.parametrize("entry", [
     lambda g, probs: lg.mixed_payoff_table(g, lg.MixedProfile(probs)),
-    _every_cell,
+    lambda g, probs: lg.regret_report(g, lg.MixedProfile(probs)).gaps,
     lambda g, probs: lg.OracleSession(g, seed=0).exact_mixed(probs),
     _plane_run,
     _plane_flow,
     lambda g, probs: lg.StochasticGame(g).mixed_payoff_table(probs),
-], ids=["mixed_payoff_table", "expected_payoff", "exact_mixed", "plane_dynamics",
+], ids=["mixed_payoff_table", "regret_report", "exact_mixed", "plane_dynamics",
         "simulate_plane_flow", "stochastic_table"])
 def test_game_without_kernel_matches_the_kernel(entry):
     g = lg.gen_linear_influence(4, 2, 1.0, seed=2)
@@ -165,15 +159,13 @@ def test_game_without_kernel_matches_the_kernel(entry):
 def test_regret_uniform_independent():
     g = independent_game(3)
     p = lg.MixedProfile.uniform(3, 2)
-    for i in range(3):
-        assert lg.regret(g, p, i) == pytest.approx(0.2, abs=1e-15)
+    assert lg.regret_report(g, p).regrets == pytest.approx([0.2] * 3, abs=1e-15)
 
 
 def test_regret_zero_at_dominant_action():
     g = independent_game(3)
     p = lg.MixedProfile.from_binary([1.0, 1.0, 1.0])
-    for i in range(3):
-        assert lg.regret(g, p, i) == 0.0
+    assert np.all(lg.regret_report(g, p).regrets == 0.0)
 
 
 def test_uniform_regret_at_most_half():
@@ -186,10 +178,11 @@ def test_uniform_regret_at_most_half():
 def test_discrepancy_values():
     g = independent_game(2)
     p = lg.MixedProfile.uniform(2, 2)
-    assert lg.discrepancy(g, p, 0) == pytest.approx(0.4, abs=1e-15)
-    assert lg.discrepancy(lg.constant_game(2), p, 0) == 0.0
-    with pytest.raises(ValueError):
-        lg.discrepancy(lg.gen_tiny_tensor(2, 3, 1.0, seed=0), lg.MixedProfile.uniform(2, 3), 0)
+    assert lg.regret_report(g, p).discrepancies[0] == pytest.approx(0.4, abs=1e-15)
+    constant = lg.IndependentGame(np.full((2, 2), 0.5), c=1.0)
+    assert lg.regret_report(constant, p).discrepancies[0] == 0.0
+    three = lg.gen_tiny_tensor(2, 3, 1.0, seed=0)
+    assert lg.regret_report(three, lg.MixedProfile.uniform(2, 3)).discrepancies is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -198,10 +191,11 @@ def test_regret_is_discrepancy_times_offmass(seed, profile_seed):
     g = lg.gen_linear_influence(4, 2, 1.0, seed=seed)
     p = lg.MixedProfile.from_binary(np.random.default_rng(profile_seed).random(4))
     table = lg.mixed_payoff_table(g, p)
+    regrets = lg.regret_report(g, p).regrets
     for i in range(4):
         v0, v1 = table[i]
         pstar = p.probs[i, 1] if v1 >= v0 else p.probs[i, 0]
-        assert lg.regret(g, p, i) == pytest.approx(abs(v1 - v0) * (1.0 - pstar), abs=1e-12)
+        assert regrets[i] == pytest.approx(abs(v1 - v0) * (1.0 - pstar), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -210,28 +204,21 @@ def test_regret_is_discrepancy_times_offmass(seed, profile_seed):
 def test_is_approx_ne():
     g = independent_game(5)
     uniform = lg.MixedProfile.uniform(5, 2)
-    ok, rep = lg.is_approx_ne(g, uniform, 0.5)
-    assert ok and rep.max_regret == pytest.approx(0.2)
-    ok, _ = lg.is_approx_ne(g, uniform, 0.1)
-    assert not ok
-    pure = lg.MixedProfile.from_binary(np.ones(5))
-    ok, rep = lg.is_approx_ne(g, pure, 0.0)
-    assert ok and rep.max_regret == 0.0
+    assert lg.regret_report(g, uniform).max_regret == pytest.approx(0.2)
+    assert lg.regret_report(g, lg.MixedProfile.from_binary(np.ones(5))).max_regret == 0.0
 
 
 def test_uniform_is_half_equilibrium_on_generated_games():
     for seed in range(5):
         g = lg.gen_linear_influence(15, 2, 1.0, seed=seed)
-        ok, _ = lg.is_approx_ne(g, lg.MixedProfile.uniform(15, 2), 0.5)
-        assert ok
+        assert lg.regret_report(g, lg.MixedProfile.uniform(15, 2)).max_regret <= 0.5
 
 
 def test_is_wsne():
     g = independent_game(3)
-    assert lg.is_wsne(g, lg.MixedProfile.from_binary(np.ones(3)), 0.01)
+    assert lg.regret_report(g, lg.MixedProfile.from_binary(np.ones(3))).wsne_slack < 0.01
     # uniform supports action 0 whose gap is 0.4
-    assert not lg.is_wsne(g, lg.MixedProfile.uniform(3, 2), 0.3)
-    assert lg.is_wsne(g, lg.MixedProfile.uniform(3, 2), 0.41)
+    assert lg.regret_report(g, lg.MixedProfile.uniform(3, 2)).wsne_slack == pytest.approx(0.4)
 
 
 @settings(max_examples=25, deadline=None)
@@ -242,9 +229,9 @@ def test_wsne_implies_approx_ne(seed, eps):
     probs = rng.random((3, 2)) + 1e-3
     probs /= probs.sum(axis=1, keepdims=True)
     p = lg.MixedProfile(probs)
-    if lg.is_wsne(g, p, eps):
-        ok, _ = lg.is_approx_ne(g, p, eps)
-        assert ok
+    rep = lg.regret_report(g, p)
+    if rep.wsne_slack < eps:
+        assert rep.max_regret <= eps
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +254,13 @@ def test_largeness_violated_when_budget_doubles():
     g = lg.gen_linear_influence(n, 2, 2.0, seed=3)
     rep = lg.check_largeness(g, 1.0 / n)
     assert not rep.ok
-    assert 0 < rep.excess <= 1.0 / (n - 1)
+    assert 0 < rep.worst - rep.gamma <= 1.0 / (n - 1)
     # witness replays to the reported change
     a, victim, deviator, alt = rep.witness
-    base = lg.eval_pure(g, a)
+    base = g.payoffs(a)
     moved_profile = np.array(a)
     moved_profile[deviator] = alt
-    moved = lg.eval_pure(g, moved_profile)
+    moved = g.payoffs(moved_profile)
     assert abs(moved[victim] - base[victim]) == pytest.approx(rep.worst, abs=1e-15)
 
 
@@ -306,9 +293,10 @@ def test_strategy_payoff_state_values():
     p = lg.MixedProfile.from_binary([0.5, 0.5])
     v0, v1 = lg.mixed_payoff_table(g, p)[0]
     assert (v1, v0, p.probs[0, 1]) == (0.7, 0.3, 0.5)
-    assert lg.discrepancy(g, p, 0) == pytest.approx(0.4)
+    rep = lg.regret_report(g, p)
+    assert rep.discrepancies[0] == pytest.approx(0.4)
     # at p = 1/2 the best-response mass is 1/2, so the regret is D / 2
-    assert lg.regret(g, p, 0) == pytest.approx(0.4 * 0.5)
+    assert rep.regrets[0] == pytest.approx(0.4 * 0.5)
 
 
 def test_state_on_plane_is_best_response_consistent():
@@ -319,10 +307,10 @@ def test_state_on_plane_is_best_response_consistent():
 
 
 def test_constant_game_state_has_zero_discrepancy():
-    g = lg.constant_game(3)
-    p = lg.MixedProfile.uniform(3, 2)
-    assert lg.discrepancy(g, p, 1) == 0.0
-    assert lg.regret(g, p, 1) == 0.0
+    g = lg.IndependentGame(np.full((3, 2), 0.5), c=1.0)
+    rep = lg.regret_report(g, lg.MixedProfile.uniform(3, 2))
+    assert rep.discrepancies[1] == 0.0
+    assert rep.regrets[1] == 0.0
 
 
 @settings(max_examples=60, deadline=None)

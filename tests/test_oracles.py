@@ -19,7 +19,7 @@ def test_query_pure_matches_eval_and_counts():
     sess = lg.OracleSession(g, seed=0)
     for m, a in enumerate([np.zeros(5, int), np.ones(5, int), np.array([0, 1, 0, 1, 0])]):
         got = sess.query_pure(a)
-        assert np.array_equal(got, lg.eval_pure(g, a))
+        assert np.array_equal(got, g.payoffs(a))
         assert sess.pure_queries == m + 1
 
 
@@ -38,7 +38,7 @@ def test_query_pure_is_eval_pure_bit_for_bit(name):
     g = PURE_GAMES[name]()
     sess = lg.OracleSession(g, seed=0)
     for a in np.random.default_rng(1).integers(0, g.k, size=(50, g.n)):
-        assert np.array_equal(sess.query_pure(a), lg.eval_pure(g, a))
+        assert np.array_equal(sess.query_pure(a), g.payoffs(a))
 
 
 def test_query_pure_dimension_mismatch():
@@ -66,7 +66,7 @@ def test_query_pure_rejects_actions_outside_the_action_range():
         with pytest.raises(ValueError, match=r"lie in \[0, 3\)"):
             sess.query_pure(actions)
     assert sess.pure_queries == 0
-    assert np.array_equal(sess.query_pure([2, 0, 1, 2]), lg.eval_pure(game, [2, 0, 1, 2]))
+    assert np.array_equal(sess.query_pure([2, 0, 1, 2]), game.payoffs([2, 0, 1, 2]))
 
 
 def test_stochastic_query_mean_converges():
@@ -155,7 +155,7 @@ def test_unobserved_cells_are_zero():
 
 
 def test_kaction_estimate_on_constant_game():
-    g = lg.constant_game(3, k=4, value=0.5)
+    g = lg.IndependentGame(np.full((3, 4), 0.5), c=1.0)
     sess = lg.OracleSession(g, seed=21)
     est = sess.sample_mixed_kaction(lg.MixedProfile.uniform(3, 4).probs, 0.5, 0.2)
     seen = est.counts > 0
