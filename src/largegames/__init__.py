@@ -3,7 +3,6 @@
 oracles, seeded game generators and an experiment CLI."""
 
 from .games import (
-    CapabilityError,
     Game,
     IndependentGame,
     LargenessReport,

@@ -26,8 +26,8 @@ from .games import MixedProfile, regret_report
 
 FAMILY_FLAGS = {key: cast for _, reads in families.FAMILIES.values()
                 for key, (cast, _) in reads.items()}
-# the defaults of the flags no table owns; run's flags but --downsample default
-# to unset, so that a flag given beside --config can be told from a default
+# the defaults of the flags no table owns; run's flags default to unset, so
+# that a flag given beside --config can be told from a default
 DEFAULTS = {"family": "linear-influence", "n": 50, "algo": "plane", "oracle": "exact",
             "seeds": "0:1"}
 # the run flag (its dest) of each algo_params key
@@ -100,8 +100,6 @@ def _algo_params(args) -> dict:
 
 
 def cmd_run(args) -> int:
-    if args.downsample < 1:  # before any run or output file
-        raise ValueError("downsample factor must be >= 1")
     if args.config:  # the file sets everything but --out and --downsample
         for key, value in vars(args).items():
             if value is not None and key not in ("command", "func", "config", "out",
@@ -120,6 +118,13 @@ def cmd_run(args) -> int:
             algo=args.algo, algo_params=_algo_params(args), oracle=args.oracle,
             beta=args.beta, delta=args.delta, seeds=_parse_seeds(args.seeds),
             out=args.out, trace=args.trace)
+    if args.downsample is not None:  # before any run or output file
+        if args.downsample < 1:
+            raise ValueError("downsample factor must be >= 1")
+        flows = [name for name, entry in runner.ALGOS.items() if "step_h" in entry.reads]
+        if not (config.out and config.algo in flows):  # only the flows write trajectories
+            raise ValueError(f"--downsample needs --out and an algorithm that writes a "
+                             f"trajectory ({', '.join(flows)})")
 
     results = runner.parallel_over_seeds(lambda s: runner.run_one(config, s),
                                          config.seeds)
@@ -136,7 +141,7 @@ def cmd_run(args) -> int:
                 fh.write(line + "\n")
             if trajectory is not None:
                 trajectory.write_csv(os.path.join(out_dir, f"trajectory_seed{seed}.csv"),
-                                     downsample=args.downsample)
+                                     downsample=args.downsample or 1)
         print(line)
     return 0 if all_ok else 3
 
@@ -241,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help=algo_c_help if key == "c" else None)
     run.add_argument("--beta", type=float, help=beta_help)
     run.add_argument("--delta", type=float, help=delta_help)
-    run.add_argument("--downsample", type=int, default=1)
+    run.add_argument("--downsample", type=int,
+                     help="write every n-th trajectory step (flows with --out only)")
     run.add_argument("--seeds")
     run.add_argument("--out")
     run.add_argument("--trace",

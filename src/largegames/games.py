@@ -2,11 +2,11 @@
 
 A game here is an n-player, k-action payoff structure with utilities in
 [0, 1] and a declared influence budget c: no single opponent's action
-switch may move a player's payoff by more than gamma = c/n.  A game is
-evaluated in one place, ``payoffs_batch``.  This module provides the
-exact evaluators (``Game.payoffs`` for one pure profile,
-``mixed_payoff_table`` for expected payoffs under a mixed profile) and
-the verifiers (``regret_report`` for regret, discrepancy and
+switch may move a player's payoff by more than gamma = c/n.  Every game
+implements ``payoffs_batch`` for batches of pure profiles and
+``mixed_payoff_table``, its own exact table of expected payoffs under a
+mixed profile.  This module provides both for explicit and independent
+games, and the verifiers (``regret_report`` for regret, discrepancy and
 well-supported slack, ``check_largeness``) that grade every algorithm.
 
 All types are immutable after construction and every operation is pure,
@@ -36,12 +36,7 @@ import numpy as np
 SUPPORT_EPS = 1e-12          # probability mass below this does not count as support
 PROB_TOL = 1e-12             # tolerance for "rows sum to one"
 LARGENESS_TOL = 1e-12
-ENUMERATION_GUARD = 2 ** 24  # max joint opponent support for brute-force expectation
 BATCH_ROWS = 4096            # pure profiles per verifier batch and per sampling chunk
-
-
-class CapabilityError(RuntimeError):
-    """An operation was asked of a game that cannot support it."""
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -148,14 +143,13 @@ def as_pure_profile(actions, n: int, k: int) -> np.ndarray:
 class Game(ABC):
     """An n-player, k-action game evaluable on batches of pure profiles.
 
-    Subclasses fill ``n``, ``k``, ``c`` and implement ``payoffs_batch``;
-    ``payoffs`` answers one profile through it.  They may also override
-    ``mixed_payoff_table``, which by default enumerates the opponents'
-    joint support, with a closed multilinear kernel.  The table takes a trusted (n, k) probability array: profiles
-    are checked where they enter, by ``MixedProfile`` and the module-level
-    verifiers.  Pure queries are answered by ``sample_payoffs_batch``,
-    which games with stochastic utilities override to draw from their
-    payoff distributions.
+    Subclasses fill ``n``, ``k``, ``c`` and implement both abstract methods:
+    ``payoffs_batch``, through which ``payoffs`` answers one profile, and
+    ``mixed_payoff_table``, the game's own closed form of the exact table.
+    Profiles are checked where they enter, by ``MixedProfile`` and the
+    module-level verifiers.  Pure queries are answered by
+    ``sample_payoffs_batch``, which games with stochastic utilities override
+    to draw from their payoff distributions.
     """
 
     n: int
@@ -192,27 +186,10 @@ class Game(ABC):
         """Answers to a (S, n) batch of pure queries: here the payoffs themselves."""
         return self.payoffs_batch(actions, out=out)
 
+    @abstractmethod
     def mixed_payoff_table(self, probs: np.ndarray) -> np.ndarray:
-        """Exact table, entry (i, j) = E[u_i(j, a_-i)], by enumeration: per
-        player, every own action with every joint opponent support action."""
-        n, k = self.n, self.k
-        # exact zero test: dropping sub-threshold mass would bias the expectation
-        supports = [np.flatnonzero(probs[l] > 0.0) for l in range(n)]
-        table = np.zeros((n, k))
-        for i in range(n):
-            joint = math.prod(len(s) for l, s in enumerate(supports) if l != i)
-            if joint > ENUMERATION_GUARD:
-                raise CapabilityError(f"joint opponent support {joint} exceeds {ENUMERATION_GUARD}")
-            axes = supports[:i] + [np.arange(k)] + supports[i + 1:]
-            sizes = [len(axis) for axis in axes]
-            for lo in range(0, joint * k, BATCH_ROWS):
-                digits = np.unravel_index(np.arange(lo, min(lo + BATCH_ROWS, joint * k)), sizes)
-                actions = np.column_stack([axis[d] for axis, d in zip(axes, digits)])
-                p = probs[np.arange(n), actions]
-                p[:, i] = 1.0
-                paid = self.payoffs_batch(actions)[:, i] * p.prod(axis=1)
-                table[i] += np.bincount(actions[:, i], weights=paid, minlength=k)
-        return table
+        """Exact (n, k) table, entry (i, j) = E[u_i(j, a_-i)], under the trusted
+        (n, k) probability array ``probs``."""
 
 
 class TensorGame(Game):
@@ -360,7 +337,7 @@ def check_largeness(game: Game, gamma: float, mode: str = "exhaustive",
     """
     if mode == "exhaustive":
         if game.k ** game.n > 2 ** 20:
-            raise CapabilityError("profile space too large for exhaustive largeness check")
+            raise ValueError("profile space too large for exhaustive largeness check (k^n > 2^20)")
         triples = _every_deviation(game.n, game.k)
     elif mode == "sampled":
         if trials < 1:

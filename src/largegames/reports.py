@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .games import CapabilityError, Game, MixedProfile, regret_report
+from .games import Game, MixedProfile, regret_report
 
 
 def array_digest(arr: np.ndarray) -> str:
@@ -32,7 +32,7 @@ class RunReport:
     rounds: int
     pure_queries: int
     qm_calls: int
-    max_regret: float | None
+    max_regret: float
     regret_summary: dict
     profile_digest: str
     extra: dict = field(default_factory=dict)
@@ -58,15 +58,9 @@ def summarize_regrets(regrets: np.ndarray) -> dict:
 
 def build_report(algorithm: str, params: dict, session, profile: MixedProfile,
                  rounds: int, extra: dict | None = None) -> RunReport:
-    """Assemble a report, grading the final profile exactly when the game allows."""
+    """Assemble a report, grading the final profile on the game's exact table."""
     game: Game = session.game
-    try:
-        rep = regret_report(game, profile)
-        max_regret = rep.max_regret
-        summary = summarize_regrets(rep.regrets)
-    except CapabilityError:
-        max_regret = None
-        summary = {}
+    rep = regret_report(game, profile)
     return RunReport(
         algorithm=algorithm,
         params=dict(params),
@@ -76,8 +70,8 @@ def build_report(algorithm: str, params: dict, session, profile: MixedProfile,
         rounds=rounds,
         pure_queries=session.pure_queries,
         qm_calls=session.qm_calls,
-        max_regret=max_regret,
-        regret_summary=summary,
+        max_regret=rep.max_regret,
+        regret_summary=summarize_regrets(rep.regrets),
         profile_digest=array_digest(profile.probs),
         extra=dict(extra or {}),
     )

@@ -146,6 +146,10 @@ class ExperimentConfig:
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         families.check_object(obj, ("family", "algo"), "config")
         families.check_object(obj["family"], ("family",), "config family")
+        for key in (key for key in obj if key != "family" and key not in _CONFIG_TYPES):
+            raise ValueError(f"config has unknown key {key!r}")
+        for key in (key for key in obj["family"] if key not in ("family", "params")):
+            raise ValueError(f"config family has unknown key {key!r}")
         for key, (kinds, text) in _CONFIG_TYPES.items():  # no key takes a boolean
             if key in obj and (isinstance(obj[key], bool) or not isinstance(obj[key], kinds)):
                 raise ValueError(f"config {key!r} must be {text}")
@@ -209,8 +213,7 @@ def run_one(config: ExperimentConfig, seed: int):
     bound = theoretical_bound(config.algo, params, game) if config.oracle == "exact" else None
     if bound is not None:
         report.extra["declared_bound"] = bound
-        report.extra["bound_ok"] = bool(report.max_regret is not None
-                                        and report.max_regret <= bound + 1e-9)
+        report.extra["bound_ok"] = bool(report.max_regret <= bound + 1e-9)
     return report, profile, trajectory
 
 
@@ -284,7 +287,7 @@ def sweep_rows(algos, family: str, params: dict, alphas, blocks_grid, seeds,
 
 
 def _cell(value) -> str:
-    if value == "" or value is None:
+    if value == "":
         return ""
     if isinstance(value, float):
         return repr(value)

@@ -1,8 +1,33 @@
 """Reference implementations that only the tests use."""
 
+import math
+
 import numpy as np
 
 from largegames.blocks import TruncatedTriangle
+from largegames.games import BATCH_ROWS
+
+
+def enumerated_table(game, probs):
+    """Exact table, entry (i, j) = E[u_i(j, a_-i)], by enumeration: per player,
+    every own action with every joint opponent support action, through
+    ``game.payoffs_batch`` alone."""
+    n, k = game.n, game.k
+    # exact zero test: dropping sub-threshold mass would bias the expectation
+    supports = [np.flatnonzero(probs[l] > 0.0) for l in range(n)]
+    table = np.zeros((n, k))
+    for i in range(n):
+        joint = math.prod(len(s) for l, s in enumerate(supports) if l != i)
+        axes = supports[:i] + [np.arange(k)] + supports[i + 1:]
+        sizes = [len(axis) for axis in axes]
+        for lo in range(0, joint * k, BATCH_ROWS):
+            digits = np.unravel_index(np.arange(lo, min(lo + BATCH_ROWS, joint * k)), sizes)
+            actions = np.column_stack([axis[d] for axis, d in zip(axes, digits)])
+            p = probs[np.arange(n), actions]
+            p[:, i] = 1.0
+            paid = game.payoffs_batch(actions)[:, i] * p.prod(axis=1)
+            table[i] += np.bincount(actions[:, i], weights=paid, minlength=k)
+    return table
 
 
 def brute_force_max_left_sum(tri: TruncatedTriangle, k: int, pitch: float = 1e-3) -> float:

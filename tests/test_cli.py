@@ -266,6 +266,10 @@ def test_thread_cap_must_be_an_integer(monkeypatch):
     assert runner.max_workers() == 1
 
 
+DOWNSAMPLE_UNREAD = ("--downsample needs --out and an algorithm that writes a trajectory "
+                     "(plane-flow, curve-flow)")
+
+
 @pytest.mark.parametrize("argv,threads,message", [
     (["run", "--algo", "plane", "--n", "6", "--seeds", "0:2"], "abc",
      "LGL_THREADS must be an integer, got 'abc'"),
@@ -339,6 +343,10 @@ def test_thread_cap_must_be_an_integer(monkeypatch):
     (["run", "--n", "6", "--algo-c", "0.5"], None, "algorithm 'plane' does not read --algo-c"),
     (["run", "--algo", "plane-flow", "--n", "6", "--eta", "0.2"], None,
      "algorithm 'plane-flow' does not read --eta"),
+    # --downsample is read only where a flow writes its trajectory
+    (["run", "--algo", "plane", "--n", "6", "--downsample", "5"], None, DOWNSAMPLE_UNREAD),
+    (["run", "--algo", "plane-flow", "--n", "6", "--downsample", "5"], None,
+     DOWNSAMPLE_UNREAD),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, argv, threads, message):
     if threads is not None:
@@ -440,6 +448,13 @@ LINEAR6 = {"family": "linear-influence", "params": {"n": 6}}
      "algorithm 'one-step' does not read 'alpha'"),
     ("run", {"family": LINEAR6, "algo": "curve-flow", "algo_params": {"blocks": None},
              "seeds": [0]}, "algorithm 'curve-flow' does not read 'blocks'"),
+    # a key no config reads, at the top level or in the family object
+    ("run", {"family": LINEAR6, "algo": "plane", "seed": [0, 1]},
+     "config has unknown key 'seed'"),
+    ("run", {"family": LINEAR6, "algo": "plane", "orcale": "sampling", "seeds": [0]},
+     "config has unknown key 'orcale'"),
+    ("run", {"family": {"family": "linear-influence", "params": {"n": 6}, "sead": 3},
+             "algo": "plane", "seeds": [0]}, "config family has unknown key 'sead'"),
 ])
 def test_malformed_json_is_an_input_error(tmp_path, capsys, command, obj, message):
     path = tmp_path / "input.json"
@@ -468,12 +483,16 @@ def test_refused_run_inputs_write_no_report(tmp_path, capsys):
              "--family cannot be given with --config"),
             (["--config", str(typo)], "algorithm 'plane' does not read 'alpah'"),
             (["--algo", "one-step", "--n", "6", "--alpha", "0.3", "--blocks", "7",
-              "--step-h", "0.5"], "algorithm 'one-step' does not read --alpha")]:
+              "--step-h", "0.5"], "algorithm 'one-step' does not read --alpha"),
+            (["--algo", "plane", "--n", "6", "--downsample", "5"], DOWNSAMPLE_UNREAD),
+            (["--config", str(config), "--downsample", "2"], DOWNSAMPLE_UNREAD)]:
         assert main(["run", *argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
-    # beside a config, --out overrides the file's and --downsample is allowed
-    assert main(["run", "--config", str(config), "--out", str(out), "--downsample", "2"]) == 0
+    # beside a config, --out overrides the file's and a flow reads --downsample
+    flow = tmp_path / "flow.json"
+    flow.write_text(json.dumps({"family": LINEAR6, "algo": "plane-flow", "seeds": [0]}))
+    assert main(["run", "--config", str(flow), "--out", str(out), "--downsample", "2"]) == 0
     assert (out / "report_seed0.json").read_text() == capsys.readouterr().out
 
 

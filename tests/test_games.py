@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import largegames as lg
+from largegames import families
 from largegames.binary import plane_residual
+from references import enumerated_table
 
 
 def independent_game(n, hi=0.7, lo=0.3):
@@ -91,37 +93,47 @@ def test_fast_path_matches_enumeration():
     rng = np.random.default_rng(3)
     cases = [lg.TensorGame(rng.random((3, 3, 3, 3)), c=3.0),
              lg.gen_linear_influence(4, 2, 1.0, seed=5),
-             lg.gen_tiny_tensor(3, 4, 0.5, seed=2)]
+             lg.gen_tiny_tensor(3, 4, 0.5, seed=2),
+             lg.IndependentGame(rng.random((4, 3)), c=1.0)]
+    # every family builder, lower-bound's StochasticGame among them
+    cases += [families.make_game(name, {"n": 4}, seed=7) for name in families.FAMILIES]
+    cases += [families.make_game(name, {"n": 3, "k": 3}, seed=8)
+              for name, (_, reads) in families.FAMILIES.items() if "k" in reads]
     for g in cases:
         probs = rng.random((g.n, g.k)) + 0.05
         probs /= probs.sum(axis=1, keepdims=True)
         p = lg.MixedProfile(probs)
         fast = lg.mixed_payoff_table(g, p)
-        slow = lg.Game.mixed_payoff_table(g, probs)
+        slow = enumerated_table(g, probs)
         assert np.abs(fast - slow).max() <= 1e-12
 
 
-def test_enumeration_guard():
-    g = lg.gen_linear_influence(30, 2, 1.0, seed=0)
+def test_game_without_a_table_cannot_be_built():
+    g = lg.gen_linear_influence(4, 2, 1.0, seed=0)
 
-    class Opaque(lg.Game):
+    class Untabled(lg.Game):
         n, k, c = g.n, g.k, g.c
 
         def payoffs_batch(self, a, out=None):
             return g.payoffs_batch(a, out=out)
 
-    with pytest.raises(lg.CapabilityError):
-        lg.mixed_payoff_table(Opaque(), lg.MixedProfile.uniform(30, 2))
+    assert "mixed_payoff_table" in lg.Game.__abstractmethods__
+    with pytest.raises(TypeError, match="mixed_payoff_table"):
+        Untabled()
 
 
 class Enumerated(lg.Game):
-    """Wraps a game and defines only ``payoffs_batch``, so every exact table enumerates."""
+    """Wraps a game and computes every exact table by enumeration, through its
+    ``payoffs_batch`` alone."""
 
     def __init__(self, inner):
         self.inner, self.n, self.k, self.c = inner, inner.n, inner.k, inner.c
 
     def payoffs_batch(self, actions, out=None):
         return self.inner.payoffs_batch(actions, out=out)
+
+    def mixed_payoff_table(self, probs):
+        return enumerated_table(self, probs)
 
 
 def _plane_run(g, probs):
@@ -281,7 +293,7 @@ def test_largeness_sampled_needs_a_trial(trials):
 
 def test_largeness_exhaustive_guard():
     g = lg.gen_linear_influence(40, 2, 1.0, seed=3)
-    with pytest.raises(lg.CapabilityError):
+    with pytest.raises(ValueError, match="too large for exhaustive"):
         lg.check_largeness(g, g.gamma, mode="exhaustive")
 
 

@@ -236,18 +236,6 @@ def test_session_estimates_check_the_profile_shape():
     assert sess.pure_queries == kaction.pure_queries == 0
 
 
-def test_exact_mixed_needs_capability():
-    class Opaque(lg.Game):
-        n, k, c = 30, 2, 1.0
-
-        def payoffs_batch(self, a, out=None):
-            return np.full((a.shape[0], 30), 0.5)
-
-    sess = lg.OracleSession(Opaque(), seed=0)
-    with pytest.raises(lg.CapabilityError):
-        sess.exact_mixed(lg.MixedProfile.uniform(30, 2).probs)
-
-
 # ---------------------------------------------------------------------------
 # tracing
 
