@@ -108,7 +108,9 @@ def test_fast_path_matches_enumeration():
         assert np.abs(fast - slow).max() <= 1e-12
 
 
-def test_game_without_a_table_cannot_be_built():
+def test_enumeration_guard():
+    """No game falls back to enumeration: one without its own exact table is
+    refused when constructed."""
     g = lg.gen_linear_influence(4, 2, 1.0, seed=0)
 
     class Untabled(lg.Game):

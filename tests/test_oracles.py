@@ -236,6 +236,24 @@ def test_session_estimates_check_the_profile_shape():
     assert sess.pure_queries == kaction.pure_queries == 0
 
 
+def test_exact_mixed_needs_capability():
+    """Exact tables come from the game's own ``mixed_payoff_table``; a game
+    without one never reaches a session."""
+    class Opaque(lg.Game):
+        n, k, c = 30, 2, 1.0
+
+        def payoffs_batch(self, a, out=None):
+            return np.full((a.shape[0], 30), 0.5)
+
+    with pytest.raises(TypeError, match="mixed_payoff_table"):
+        lg.OracleSession(Opaque(), seed=0)
+    g = small_game()
+    sess = lg.OracleSession(g, seed=0)
+    probs = lg.MixedProfile.uniform(5, 2).probs
+    assert np.array_equal(sess.exact_mixed(probs), g.mixed_payoff_table(probs))
+    assert sess.qm_calls == 1 and sess.pure_queries == 0
+
+
 # ---------------------------------------------------------------------------
 # tracing
 
