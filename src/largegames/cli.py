@@ -118,6 +118,7 @@ def cmd_run(args) -> int:
             algo=args.algo, algo_params=_algo_params(args), oracle=args.oracle,
             beta=args.beta, delta=args.delta, seeds=_parse_seeds(args.seeds),
             out=args.out, trace=args.trace)
+        config.check_oracle_settings(_flag)
     if args.downsample is not None:  # before any run or output file
         if args.downsample < 1:
             raise ValueError("downsample factor must be >= 1")
@@ -182,11 +183,12 @@ def cmd_sweep(args) -> int:
 def _load_profile(path: str) -> MixedProfile:
     with open(path) as fh:
         obj = json.load(fh)
-    if isinstance(obj, dict) and "binary" in obj:
-        return MixedProfile.from_binary(np.asarray(obj["binary"], dtype=float))
-    if isinstance(obj, dict) and "probs" in obj:
-        return MixedProfile(np.asarray(obj["probs"], dtype=float))
-    raise ValueError("profile JSON must contain 'binary' or 'probs'")
+    kind = "binary" if isinstance(obj, dict) and "binary" in obj else "probs"
+    if not (isinstance(obj, dict) and kind in obj):
+        raise ValueError("profile JSON must contain 'binary' or 'probs'")
+    families.check_object(obj, (), f"{kind} profile", allowed=(kind,))  # not both
+    values = np.asarray(obj[kind], dtype=float)
+    return MixedProfile.from_binary(values) if kind == "binary" else MixedProfile(values)
 
 
 def cmd_verify(args) -> int:
@@ -207,10 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="payoff-query equilibrium experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     default = {key: value for key, (_, value) in runner.PARAMS.items()}
-    beta_help = ("sampling accuracy; exact mode ignores it, and plane, plane-comm and curve "
+    beta_help = ("sampling accuracy of the sampling oracle; plane, plane-comm and curve "
                  "default it to their step")
-    delta_help = ("sampling failure probability; exact mode ignores it, and so do plane, "
-                  "plane-comm and curve, which derive delta as eta/rounds")
+    delta_help = ("sampling failure probability of the sampling oracle; plane, plane-comm "
+                  "and curve derive delta as eta/rounds instead")
     algo_c_help = "influence budget c for %s (defaults to the game's)" % ", ".join(
         name for name, entry in runner.ALGOS.items() if "c" in entry.reads)
 

@@ -265,15 +265,18 @@ FAMILIES = {
 }
 
 
-def check_object(obj, keys, what: str, numbers=()):
+def check_object(obj, keys, what: str, numbers=(), allowed=None):
     """Raise ValueError unless ``obj`` is a JSON object holding every key of
-    ``keys``, and a number (not a boolean) under every key of ``numbers``
-    that it holds, a whole one (6.0 passes) under "n", "k" and "blocks"."""
+    ``keys``, no key outside ``allowed`` (when given), and a number (not a
+    boolean) under every key of ``numbers`` that it holds, a whole one (6.0
+    passes) under "n", "k" and "blocks"."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object")
     missing = [key for key in keys if key not in obj]
     if missing:
         raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+    for key in (key for key in obj if allowed is not None and key not in allowed):
+        raise ValueError(f"{what} has unknown key {key!r}")
     for key in (key for key in numbers if key in obj):
         if isinstance(obj[key], bool) or not isinstance(obj[key], (int, float)):
             raise ValueError(f"{what} {key!r} must be a number")
@@ -310,7 +313,8 @@ def descriptor_to_json(desc: dict) -> str:
 
 
 def game_from_descriptor(desc: dict) -> Game:
-    check_object(desc, ("family", "params", "seed"), "game descriptor")
+    keys = ("family", "params", "seed")
+    check_object(desc, keys, "game descriptor", allowed=keys)
     if not isinstance(desc["seed"], int) or isinstance(desc["seed"], bool):
         raise ValueError("game descriptor 'seed' must be an integer")
     return make_game(desc["family"], desc["params"], desc["seed"])
@@ -319,7 +323,8 @@ def game_from_descriptor(desc: dict) -> Game:
 def game_from_json(text: str) -> Game:
     obj = json.loads(text)
     if isinstance(obj, dict) and "payoffs" in obj:  # explicit tiny tensor
-        check_object(obj, ("n", "k", "c"), "tensor game", numbers=("n", "k", "c"))
+        check_object(obj, ("n", "k", "c"), "tensor game", numbers=("n", "k", "c"),
+                     allowed=("n", "k", "c", "payoffs"))
         if not isinstance(obj["payoffs"], list):
             raise ValueError("tensor game 'payoffs' must be a JSON list")
         return TensorGame.from_json(text)

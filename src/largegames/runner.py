@@ -82,7 +82,8 @@ def _run_uniform(session, config, params):
 
 
 ALGOS = {
-    "uniform": Algorithm(_run_uniform, lambda params, game: 0.5),
+    "uniform": Algorithm(_run_uniform, lambda params, game: (game.k - 1) / game.k,
+                         binary_only=False),
     "one-step": Algorithm(_run_query("one_step"), lambda params, game: 0.272),
     "two-step": Algorithm(_run_query("two_step"), lambda params, game: 0.25),
     "plane": Algorithm(_run_banded("plane_dynamics"),
@@ -142,14 +143,22 @@ class ExperimentConfig:
         if self.trace and len(self.seeds) > 1 and "{seed}" not in self.trace:
             raise ValueError("trace path needs a {seed} placeholder with multiple seeds")
 
+    def check_oracle_settings(self, spell) -> None:
+        """Raise ValueError for a beta or delta the run would drop: the exact oracle
+        reads neither, and the algorithms that read eta derive delta as eta/rounds.
+        ``spell(key)`` names the key as the input gave it, a flag or a config key."""
+        for key in (key for key in ("beta", "delta") if getattr(self, key) is not None):
+            if self.oracle == "exact":
+                raise ValueError(f"oracle 'exact' does not read {spell(key)}")
+            if key == "delta" and "eta" in ALGOS[self.algo].reads:
+                raise ValueError(f"algorithm {self.algo!r} does not read {spell(key)}")
+
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        families.check_object(obj, ("family", "algo"), "config")
-        families.check_object(obj["family"], ("family",), "config family")
-        for key in (key for key in obj if key != "family" and key not in _CONFIG_TYPES):
-            raise ValueError(f"config has unknown key {key!r}")
-        for key in (key for key in obj["family"] if key not in ("family", "params")):
-            raise ValueError(f"config family has unknown key {key!r}")
+        families.check_object(obj, ("family", "algo"), "config",
+                              allowed=("family", *_CONFIG_TYPES))
+        families.check_object(obj["family"], ("family",), "config family",
+                              allowed=("family", "params"))
         for key, (kinds, text) in _CONFIG_TYPES.items():  # no key takes a boolean
             if key in obj and (isinstance(obj[key], bool) or not isinstance(obj[key], kinds)):
                 raise ValueError(f"config {key!r} must be {text}")
@@ -173,6 +182,7 @@ class ExperimentConfig:
         reads = ALGOS[config.algo].reads
         for key in (key for key in obj.get("algo_params", {}) if key not in reads):
             raise ValueError(f"algorithm {config.algo!r} does not read {key!r}")
+        config.check_oracle_settings(repr)
         return config
 
 
