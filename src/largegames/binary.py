@@ -17,7 +17,7 @@ import numpy as np
 
 from .games import MixedProfile, binary_probs
 from .oracles import OracleSession
-from .reports import build_report
+from .reports import build_report, mode_params
 
 PLANE_OFFSET = 0.5
 
@@ -116,9 +116,8 @@ def one_step(session: OracleSession, mode: str = "exact", beta: float = 0.1,
     p = np.where(gap > ONE_STEP_ALPHA, 0.5 + ONE_STEP_SHIFT,
                  np.where(-gap > ONE_STEP_ALPHA, 0.5 - ONE_STEP_SHIFT, 0.5))
     profile = MixedProfile.from_binary(p)
-    report = build_report("one-step",
-                          {"alpha": ONE_STEP_ALPHA, "shift": ONE_STEP_SHIFT, "mode": mode},
-                          session, profile, rounds=1)
+    report = build_report("one-step", {"alpha": ONE_STEP_ALPHA, "shift": ONE_STEP_SHIFT}
+                          | mode_params(mode, beta, delta), session, profile, rounds=1)
     return profile, report
 
 
@@ -135,7 +134,7 @@ def two_step(session: OracleSession, mode: str = "exact",
     second = (v2[:, 1] > v2[:, 0]).astype(int)
     p_final = np.where(first != second, 0.5, p_shift)
     profile = MixedProfile.from_binary(p_final)
-    report = build_report("two-step", {"mode": mode}, session, profile, rounds=2)
+    report = build_report("two-step", mode_params(mode, beta, delta), session, profile, rounds=2)
     return profile, report
 
 
@@ -179,8 +178,7 @@ def _plane_rule(step: float, bad: np.ndarray | None = None):
 def _banded(session, params, band, mode, sample_beta, make_rule, record):
     """Set up the estimator for a band and run the banded rounds from the
     uniform start; ``record`` is the round hook of ``_banded_rounds``.
-    Returns (estimator, p, step, rounds, sampling accuracy, per-round
-    confidence)."""
+    Returns (estimator, p, step, rounds, the ``mode_params`` to record)."""
     step, rounds = _schedule(band)
     beta = sample_beta if sample_beta is not None else step
     delta = params.eta / rounds
@@ -188,7 +186,7 @@ def _banded(session, params, band, mode, sample_beta, make_rule, record):
     p = np.full(session.game.n, 0.5)
     # the first round tracks against a second estimate at the start
     p, _ = _banded_rounds(est, make_rule(step), p, est(p), est(p), rounds, record)
-    return est, p, step, rounds, beta, delta
+    return est, p, step, rounds, mode_params(mode, beta, delta)
 
 
 def plane_dynamics(session: OracleSession, params: DynamicsParams, mode: str = "exact",
@@ -201,12 +199,10 @@ def plane_dynamics(session: OracleSession, params: DynamicsParams, mode: str = "
     sees the state each banded round starts from; ``communication_dynamics``
     and ``curve_dynamics`` take it too.
     """
-    _, p, _, _, beta, delta = _banded(session, params, params.band, mode, sample_beta,
-                                      _plane_rule, record)
+    _, p, _, _, oracle = _banded(session, params, params.band, mode, sample_beta,
+                                 _plane_rule, record)
     profile = MixedProfile.from_binary(p)
-    run_params = params.as_dict() | {"mode": mode}
-    if mode != "exact":  # what to record; _banded has checked the mode
-        run_params |= {"sample_beta": beta, "sample_delta": delta}
+    run_params = params.as_dict() | oracle
     report = build_report("plane", run_params, session, profile, rounds=params.rounds)
     return profile, report
 
@@ -222,8 +218,8 @@ def communication_dynamics(session: OracleSession, params: DynamicsParams,
     toward their best responses for 0.15 probability mass while the rest
     track; then the (re-labelled) flagged players march a further 1/220.
     """
-    est, p, step, rounds, _, _ = _banded(session, params, params.band, mode,
-                                         sample_beta, _plane_rule, record)
+    est, p, step, rounds, oracle = _banded(session, params, params.band, mode,
+                                           sample_beta, _plane_rule, record)
     vhat = est(p)  # fresh estimate at the settled profile for labelling
     labels = label_bad_players(vhat, p)
     theta_measured = labels.theta
@@ -241,9 +237,8 @@ def communication_dynamics(session: OracleSession, params: DynamicsParams,
         rounds += final
 
     profile = MixedProfile.from_binary(p)
-    run_params = params.as_dict() | {"mode": mode, "theta": theta_measured,
-                                     "theta_bit": bool(theta_bit),
-                                     "theta_final": labels.theta}
+    run_params = params.as_dict() | {"theta": theta_measured, "theta_bit": bool(theta_bit),
+                                     "theta_final": labels.theta} | oracle
     report = build_report("plane-comm", run_params, session, profile, rounds=rounds)
     return profile, report
 
@@ -291,7 +286,7 @@ def _curve_rule(c: float, step: float):
         d_disc = disc - np.abs(v_prev[:, 1] - v_prev[:, 0])
         new_pstar = _clip(pstar + d_disc / (2.0 * c), 0.0, 1.0)  # track, unless held or climbing
         np.copyto(new_pstar, pstar, where=pstar > line + step)
-        climb = np.minimum(pstar + step, np.minimum(line, 1.0))
+        climb = np.minimum(pstar + step, 1.0)
         np.copyto(new_pstar, climb, where=(line >= 1.0) | (rho < -step))
         return np.subtract(1.0, new_pstar, out=new_pstar, where=~toward_one), rho
     return rule
@@ -301,19 +296,19 @@ def curve_dynamics(session: OracleSession, params: DynamicsParams, c: float | No
                    mode: str = "exact", sample_beta: float | None = None, record=None):
     """Banded pursuit of the capped curve p* = min(1/2 + D/(2c), 1).
 
-    Three cases per round: climb toward the curve from below (snapping on
-    arrival, which pins saturated players at a pure best response), hold
-    when strictly above the uncapped line (such states already beat the
-    curve's regret), and otherwise track discrepancy changes along the
-    sloped section.
+    Three cases per round: climb a step toward the curve from below (a climb
+    snaps on arrival only at p* = 1, which pins saturated players at a pure
+    best response), hold when strictly above the uncapped line (such states
+    already beat the curve's regret), and otherwise track discrepancy changes
+    along the sloped section.
     """
     if c is None:
         c = session.game.c
     band = curve_band(params.alpha, c)
-    _, p, step, rounds, _, _ = _banded(session, params, band, mode, sample_beta,
-                                       lambda step: _curve_rule(c, step), record)
+    _, p, step, rounds, oracle = _banded(session, params, band, mode, sample_beta,
+                                         lambda step: _curve_rule(c, step), record)
     profile = MixedProfile.from_binary(p)
     run_params = {"alpha": params.alpha, "eta": params.eta, "c": c, "band": band,
-                  "step": step, "rounds": rounds, "mode": mode}
+                  "step": step, "rounds": rounds} | oracle
     report = build_report("curve", run_params, session, profile, rounds=rounds)
     return profile, report

@@ -18,7 +18,7 @@ import numpy as np
 
 from .games import MixedProfile
 from .oracles import OracleSession
-from .reports import array_digest, build_report
+from .reports import array_digest, build_report, mode_params
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def block_update(session: OracleSession, blocks: int, mode: str = "exact",
 
     profile = MixedProfile(counts / blocks)
     report = build_report(
-        "block-update", {"blocks": blocks, "mode": mode, "init": "zeros"},
+        "block-update", {"blocks": blocks, "init": "zeros"} | mode_params(mode, beta, delta),
         session, profile, rounds=blocks,
         extra={"k": k, "N": blocks,
                "per_round_allocation_digest": array_digest(allocation)})

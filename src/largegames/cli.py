@@ -89,16 +89,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _algo_params(args) -> dict:
-    """The algorithm flags given; the runner fills in the defaults of the others."""
-    reads = runner.ALGOS[args.algo].reads
-    given = {key: getattr(args, dest) for key, dest in ALGO_FLAGS.items()
-             if getattr(args, dest) is not None}
-    for key in (key for key in given if key not in reads):
-        raise ValueError(f"algorithm {args.algo!r} does not read {_flag(ALGO_FLAGS[key])}")
-    return given
-
-
 def cmd_run(args) -> int:
     if args.config:  # the file sets everything but --out and --downsample
         for key, value in vars(args).items():
@@ -113,12 +103,13 @@ def cmd_run(args) -> int:
         for key, value in DEFAULTS.items():
             if getattr(args, key) is None:
                 setattr(args, key, value)
-        config = runner.ExperimentConfig(
-            family={"family": args.family, "params": _family_params(args)},
-            algo=args.algo, algo_params=_algo_params(args), oracle=args.oracle,
-            beta=args.beta, delta=args.delta, seeds=_parse_seeds(args.seeds),
-            out=args.out, trace=args.trace)
-        config.check_oracle_settings(_flag)
+        config = runner.ExperimentConfig.from_dict({
+            "family": {"family": args.family, "params": _family_params(args)},
+            "algo": args.algo, "oracle": args.oracle, "seeds": _parse_seeds(args.seeds),
+            "algo_params": {key: getattr(args, dest) for key, dest in ALGO_FLAGS.items()
+                            if getattr(args, dest) is not None},
+            "beta": args.beta, "delta": args.delta, "out": args.out, "trace": args.trace,
+        }, spell=lambda key: _flag(ALGO_FLAGS.get(key, key)))
     if args.downsample is not None:  # before any run or output file
         if args.downsample < 1:
             raise ValueError("downsample factor must be >= 1")
@@ -209,12 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="payoff-query equilibrium experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     default = {key: value for key, (_, value) in runner.PARAMS.items()}
-    beta_help = ("sampling accuracy of the sampling oracle; plane, plane-comm and curve "
-                 "default it to their step")
-    delta_help = ("sampling failure probability of the sampling oracle; plane, plane-comm "
-                  "and curve derive delta as eta/rounds instead")
-    algo_c_help = "influence budget c for %s (defaults to the game's)" % ", ".join(
-        name for name, entry in runner.ALGOS.items() if "c" in entry.reads)
+    readers = {key: [name for name, entry in runner.ALGOS.items() if key in entry.reads]
+               for key in ("beta", "delta", "c")}
+    banded = ", ".join(name for name in readers["beta"] if name not in readers["delta"])
+    beta_help = ("accuracy of the sampling oracle, read by %s (default 0.1) and by %s "
+                 "(default: their step)" % (", ".join(readers["delta"]), banded))
+    delta_help = ("failure probability of the sampling oracle, read by %s (default 0.05); "
+                  "%s derive it as eta/rounds" % (", ".join(readers["delta"]), banded))
+    algo_c_help = "influence budget c for %s (defaults to the game's)" % ", ".join(readers["c"])
 
     grid = "comma-separated grid"
 

@@ -56,6 +56,12 @@ def summarize_regrets(regrets: np.ndarray) -> dict:
     }
 
 
+def mode_params(mode: str, beta: float, delta: float) -> dict:
+    """A run's oracle mode and, if sampled, the accuracy and confidence it sampled at."""
+    return {"mode": mode} | ({} if mode == "exact" else
+                             {"sample_beta": beta, "sample_delta": delta})
+
+
 def build_report(algorithm: str, params: dict, session, profile: MixedProfile,
                  rounds: int, extra: dict | None = None) -> RunReport:
     """Assemble a report, grading the final profile on the game's exact table."""

@@ -24,12 +24,14 @@ PARAMS = {"alpha": (float, 0.05), "eta": (float, 0.1), "c": (float, None),
 class Algorithm:
     """One entry of the algorithm table.
 
-    ``run(session, config, params)`` returns (profile, report, trajectory
-    or None); ``params`` holds the ``reads`` keys of ``algo_params``, with
-    defaults filled in, under the parameter names of the function run.
-    ``bound(params, game)`` is the worst-case regret an exact-oracle run
-    declares.  Runs look module functions up by name when called, so a
-    patched entry point is the one that runs.
+    ``reads`` names every input a run reads: keys of ``algo_params``
+    (``PARAMS``) and the sampling oracle's ``beta`` and ``delta``.  The banded
+    dynamics derive delta as eta/rounds, and uniform makes no query.
+    ``run(session, config, params)`` returns (profile, report, trajectory or
+    None); ``params`` holds what ``read`` picks, under the parameter names of
+    the function run.  ``bound(params, game)`` is the worst-case regret an
+    exact-oracle run declares.  Runs look module functions up by name when
+    called, so a patched entry point is the one that runs.
     """
 
     run: Callable
@@ -38,21 +40,26 @@ class Algorithm:
     binary_only: bool = True
     exact_only: bool = False
 
-    def read(self, algo_params: dict, game) -> dict:
+    def read(self, config, game) -> dict:
+        """Each ``reads`` key of ``config.algo_params``, cast, with its default
+        where unset or null (c: the game's), and beta and delta where the
+        config sets them; an unset one keeps the default of the function run."""
         out = {}
         for key in self.reads:
-            cast, default = PARAMS[key]
-            value = algo_params.get(key, default)
-            out[key] = cast(game.c if key == "c" and value is None else value)
+            if key in PARAMS:
+                cast, default = PARAMS[key]
+                value = config.algo_params.get(key)
+                value = default if value is None else value
+                out[key] = cast(game.c if value is None else value)
+            elif getattr(config, key) is not None:
+                out[key] = getattr(config, key)
         return out
 
 
 def _run_query(name, module=binary):
     """One-step, two-step and block-update take the oracle settings directly."""
     def run(session, config, params):
-        kwargs = {"beta": config.beta, "delta": config.delta}
-        out = getattr(module, name)(session, mode=config.oracle, **params,
-                                    **{k: v for k, v in kwargs.items() if v is not None})
+        out = getattr(module, name)(session, mode=config.oracle, **params)
         return out[0], out[1], None
     return run
 
@@ -62,7 +69,7 @@ def _run_banded(name):
         dparams = binary.DynamicsParams(alpha=params["alpha"], eta=params["eta"])
         kwargs = {"c": params["c"]} if "c" in params else {}
         return (*getattr(binary, name)(session, dparams, mode=config.oracle,
-                                       sample_beta=config.beta, **kwargs), None)
+                                       sample_beta=params.get("beta"), **kwargs), None)
     return run
 
 
@@ -83,23 +90,25 @@ def _run_uniform(session, config, params):
 
 ALGOS = {
     "uniform": Algorithm(_run_uniform, lambda params, game: (game.k - 1) / game.k,
-                         binary_only=False),
-    "one-step": Algorithm(_run_query("one_step"), lambda params, game: 0.272),
-    "two-step": Algorithm(_run_query("two_step"), lambda params, game: 0.25),
+                         binary_only=False, exact_only=True),
+    "one-step": Algorithm(_run_query("one_step"), lambda params, game: 0.272,
+                          reads=("beta", "delta")),
+    "two-step": Algorithm(_run_query("two_step"), lambda params, game: 0.25,
+                          reads=("beta", "delta")),
     "plane": Algorithm(_run_banded("plane_dynamics"),
                        lambda params, game: 1.0 / 8.0 + params["alpha"],
-                       reads=("alpha", "eta")),
+                       reads=("alpha", "eta", "beta")),
     "plane-comm": Algorithm(_run_banded("communication_dynamics"),
                             lambda params, game: 137.0 / 1100.0 + params["alpha"],
-                            reads=("alpha", "eta")),
+                            reads=("alpha", "eta", "beta")),
     "curve": Algorithm(_run_banded("curve_dynamics"),
                        lambda params, game: binary.curve_regret_bound(params["c"],
                                                                       params["alpha"]),
-                       reads=("alpha", "eta", "c")),
+                       reads=("alpha", "eta", "c", "beta")),
     "block-update": Algorithm(
         _run_query("block_update", blocks),
         lambda params, game: blocks.block_update_bound(game.c, game.k, params["blocks"]),
-        reads=("blocks",), binary_only=False),
+        reads=("blocks", "beta", "delta"), binary_only=False),
     "plane-flow": Algorithm(_run_flow("simulate_plane_flow"),
                             reads=("step_h", "horizon"), exact_only=True),
     "curve-flow": Algorithm(_run_flow("simulate_curve_flow"),
@@ -143,18 +152,11 @@ class ExperimentConfig:
         if self.trace and len(self.seeds) > 1 and "{seed}" not in self.trace:
             raise ValueError("trace path needs a {seed} placeholder with multiple seeds")
 
-    def check_oracle_settings(self, spell) -> None:
-        """Raise ValueError for a beta or delta the run would drop: the exact oracle
-        reads neither, and the algorithms that read eta derive delta as eta/rounds.
-        ``spell(key)`` names the key as the input gave it, a flag or a config key."""
-        for key in (key for key in ("beta", "delta") if getattr(self, key) is not None):
-            if self.oracle == "exact":
-                raise ValueError(f"oracle 'exact' does not read {spell(key)}")
-            if key == "delta" and "eta" in ALGOS[self.algo].reads:
-                raise ValueError(f"algorithm {self.algo!r} does not read {spell(key)}")
-
     @classmethod
-    def from_dict(cls, obj: dict) -> "ExperimentConfig":
+    def from_dict(cls, obj: dict, spell=repr) -> "ExperimentConfig":
+        """The config a JSON object (a config file, or the run flags) sets; the
+        one place that refuses an input the run would not read.  ``spell(key)``
+        names a key as the input gave it, a config key or a flag."""
         families.check_object(obj, ("family", "algo"), "config",
                               allowed=("family", *_CONFIG_TYPES))
         families.check_object(obj["family"], ("family",), "config family",
@@ -165,24 +167,17 @@ class ExperimentConfig:
         if not all(isinstance(seed, int) and not isinstance(seed, bool)
                    for seed in obj.get("seeds", [])):
             raise ValueError("config 'seeds' must hold integers")
-        algo_params = {key: value for key, value in obj.get("algo_params", {}).items()
-                       if value is not None}  # null is the default
-        families.check_object(algo_params, (), "config algo_params", numbers=list(algo_params))
-        config = cls(
-            family=obj["family"],
-            algo=obj["algo"],
-            algo_params=algo_params,
-            oracle=obj.get("oracle", "exact"),
-            beta=obj.get("beta"),
-            delta=obj.get("delta"),
-            seeds=list(obj.get("seeds", [])),
-            out=obj.get("out"),
-            trace=obj.get("trace"),
-        )
-        reads = ALGOS[config.algo].reads
-        for key in (key for key in obj.get("algo_params", {}) if key not in reads):
-            raise ValueError(f"algorithm {config.algo!r} does not read {key!r}")
-        config.check_oracle_settings(repr)
+        config = cls(**obj)
+        # the oracle reads beta, delta and trace; null is the default
+        oracle_inputs = [key for key in ("beta", "delta", "trace") if obj.get(key) is not None]
+        for key in (*config.algo_params, *oracle_inputs):  # a null algo_params key too
+            if config.oracle == "exact" and key in oracle_inputs:
+                raise ValueError(f"oracle 'exact' does not read {spell(key)}")
+            if key != "trace" and key not in ALGOS[config.algo].reads:
+                raise ValueError(f"algorithm {config.algo!r} does not read {spell(key)}")
+        families.check_object(config.algo_params, (), "config algo_params", allowed=PARAMS,
+                              numbers=[key for key, value in config.algo_params.items()
+                                       if value is not None])
         return config
 
 
@@ -214,7 +209,7 @@ def run_one(config: ExperimentConfig, seed: int):
     trace = config.trace.replace("{seed}", str(seed)) if config.trace else None
     session = OracleSession(game, seed=seed, trace_path=trace)
     entry = ALGOS[config.algo]
-    params = entry.read(config.algo_params, game)
+    params = entry.read(config, game)
     try:
         profile, report, trajectory = entry.run(session, config, params)
     finally:
@@ -249,25 +244,30 @@ def sweep_rows(algos, family: str, params: dict, alphas, blocks_grid, seeds,
                timing: bool = False) -> list[dict]:
     """Cross product of the parameter grids, one row per run.
 
-    ``params`` maps "n" and params the family reads to grids.  The alpha grid
-    only multiplies algorithms that read alpha (the banded dynamics) and the
-    blocks grid those that read blocks (block-update); rows hold n, c and k of the game.
+    ``params`` maps "n" and params the family reads to grids.  Each algorithm
+    runs over the grids of the inputs it reads (``reads``), beta and delta
+    only under the sampling oracle.  A row's alpha, eta, beta, delta and
+    blocks cells hold the values its run read and are blank otherwise; its
+    n, c and k are those of the game.
     """
-    alphas = list(alphas) or [PARAMS["alpha"][1]]
-    blocks_grid = list(blocks_grid) or [PARAMS["blocks"][1]]
+    grids = {"alpha": list(alphas) or [PARAMS["alpha"][1]], "eta": [eta],
+             "blocks": list(blocks_grid) or [PARAMS["blocks"][1]]}
+    if oracle == "sampling":  # an unset one keeps the run's default and a blank cell
+        grids |= {key: [value] for key, value in (("beta", beta), ("delta", delta))
+                  if value is not None}
     rows = []
     for algo in algos:
         if algo not in ALGOS:
             raise ValueError(f"unknown algorithm {algo!r}")
         entry = ALGOS[algo]
-        by_alpha, by_blocks = "alpha" in entry.reads, "blocks" in entry.reads
-        for *cell, alpha, blocks_n in itertools.product(
-                *params.values(), alphas if by_alpha else alphas[:1],
-                blocks_grid if by_blocks else blocks_grid[:1]):
+        keys = [key for key in grids if key in entry.reads]
+        for cell in itertools.product(*params.values(), *(grids[key] for key in keys)):
+            read = dict(zip(keys, cell[len(params):]))
             config = ExperimentConfig(
-                family={"family": family, "params": dict(zip(params, cell))},
-                algo=algo, algo_params={"alpha": alpha, "eta": eta, "blocks": blocks_n},
-                oracle=oracle, beta=beta, delta=delta, seeds=list(seeds))
+                family={"family": family, "params": dict(zip(params, cell[:len(params)]))},
+                algo=algo, algo_params={key: read[key] for key in read if key in PARAMS},
+                oracle=oracle, beta=read.get("beta"), delta=read.get("delta"),
+                seeds=list(seeds))
             k = families.check_family(family, config.family["params"]).get("k", 2)
             if entry.binary_only and k != 2:  # a family that does not read k is binary
                 continue
@@ -280,12 +280,10 @@ def sweep_rows(algos, family: str, params: dict, alphas, blocks_grid, seeds,
             for seed, (report, wall_ms) in zip(config.seeds,
                                                parallel_over_seeds(timed, config.seeds)):
                 row = {"algorithm": algo, "family": family, "n": report.n, "c": report.c,
-                       "k": k, "alpha": alpha if by_alpha else "", "eta": eta if by_alpha else "",
-                       "beta": "" if beta is None else beta,
-                       "delta": "" if delta is None else delta,
-                       "blocks": blocks_n if by_blocks else "", "seed": seed,
-                       "max_regret": report.max_regret,
+                       "k": k, "seed": seed, "max_regret": report.max_regret,
                        "pure_queries": report.pure_queries, "qm_calls": report.qm_calls}
+                row |= {key: read.get(key, "")
+                        for key in ("alpha", "eta", "beta", "delta", "blocks")}
                 if timing:
                     row["wall_ms"] = round(wall_ms, 3)
                 rows.append(row)

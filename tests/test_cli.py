@@ -45,16 +45,18 @@ def test_run_writes_reports_and_traces(tmp_path):
     out = tmp_path / "reports"
     trace = tmp_path / "trace_{seed}.jsonl"
     code = main(["run", "--algo", "one-step", "--family", "linear-influence",
-                 "--n", "20", "--c", "1.0", "--oracle", "exact",
+                 "--n", "20", "--c", "1.0", "--oracle", "sampling", "--beta", "0.5",
                  "--seeds", "0:3", "--out", str(out), "--trace", str(trace)])
     assert code == 0
     for seed in range(3):
         report = json.loads((out / f"report_seed{seed}.json").read_text())
         assert report["algorithm"] == "one-step"
         assert report["seed"] == seed
-        assert report["max_regret"] <= 0.272 + 1e-9
-        assert report["bound_ok"] is True
-        assert report["qm_calls"] == 1
+        assert report["params"]["sample_beta"] == 0.5  # and the default delta
+        assert report["params"]["sample_delta"] == 0.05
+        assert report["qm_calls"] == 0 and report["pure_queries"] > 0
+        lines = (tmp_path / f"trace_{seed}.jsonl").read_text().splitlines()
+        assert len(lines) == report["pure_queries"]  # one line per pure query
 
 
 def test_run_flow_writes_trajectory(tmp_path):
@@ -369,6 +371,16 @@ DOWNSAMPLE_UNREAD = ("--downsample needs --out and an algorithm that writes a tr
      "algorithm 'plane' does not read --delta"),
     (["run", "--algo", "curve", "--oracle", "sampling", "--n", "6", "--delta", "0.01"], None,
      "algorithm 'curve' does not read --delta"),
+    # uniform makes no query, so it reads neither value and runs exact only;
+    # the exact oracle makes no pure query to trace
+    (["run", "--algo", "uniform", "--oracle", "sampling", "--beta", "0.3", "--delta", "0.2",
+      "--n", "6"], None, "uniform runs with the exact oracle only"),
+    (["run", "--algo", "uniform", "--oracle", "sampling", "--n", "6"], None,
+     "uniform runs with the exact oracle only"),
+    (["sweep", "--algo", "one-step,uniform", "--oracle", "sampling", "--n", "6",
+      "--seeds", "0:1"], None, "uniform runs with the exact oracle only"),
+    (["run", "--algo", "plane", "--n", "6", "--trace", "t.jsonl"], None,
+     "oracle 'exact' does not read --trace"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, argv, threads, message):
     if threads is not None:
@@ -492,6 +504,12 @@ LINEAR6 = {"family": "linear-influence", "params": {"n": 6}}
      "oracle 'exact' does not read 'beta'"),
     ("run", {"family": LINEAR6, "algo": "plane-comm", "oracle": "sampling", "delta": 0.01,
              "seeds": [0]}, "algorithm 'plane-comm' does not read 'delta'"),
+    ("run", {"family": LINEAR6, "algo": "one-step", "trace": "t_{seed}.jsonl", "seeds": [0]},
+     "oracle 'exact' does not read 'trace'"),
+    # the oracle settings sit beside algo_params, not in it
+    ("run", {"family": LINEAR6, "algo": "one-step", "oracle": "sampling",
+             "algo_params": {"beta": 0.3}, "seeds": [0]},
+     "config algo_params has unknown key 'beta'"),
 ])
 def test_malformed_json_is_an_input_error(tmp_path, capsys, command, obj, message):
     path = tmp_path / "input.json"
@@ -521,7 +539,7 @@ def test_refused_run_inputs_write_no_report(tmp_path, capsys):
     typo = tmp_path / "typo.json"
     typo.write_text(json.dumps({"family": LINEAR6, "algo": "plane",
                                 "algo_params": {"alpah": 0.3}, "seeds": [0]}))
-    out = tmp_path / "out"
+    out, trace = tmp_path / "out", tmp_path / "t.jsonl"
     for argv, message in [
             (["--config", str(config), "--family", "lower-bound", "--k", "3", "--algo", "curve"],
              "--family cannot be given with --config"),
@@ -534,10 +552,17 @@ def test_refused_run_inputs_write_no_report(tmp_path, capsys):
              "oracle 'exact' does not read --beta"),
             (["--algo", "plane", "--oracle", "sampling", "--alpha", "0.5", "--beta", "0.5",
               "--delta", "0.01", "--n", "6", "--seeds", "0:1"],
-             "algorithm 'plane' does not read --delta")]:
+             "algorithm 'plane' does not read --delta"),
+            (["--algo", "uniform", "--oracle", "sampling", "--beta", "0.3", "--delta", "0.2",
+              "--n", "6", "--trace", str(trace)], "uniform runs with the exact oracle only"),
+            (["--algo", "uniform", "--oracle", "sampling", "--n", "6"],
+             "uniform runs with the exact oracle only"),
+            (["--algo", "plane", "--n", "6", "--trace", str(trace)],
+             "oracle 'exact' does not read --trace")]:
         assert main(["run", *argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+        assert not trace.exists()
     # beside a config, --out overrides the file's and a flow reads --downsample
     flow = tmp_path / "flow.json"
     flow.write_text(json.dumps({"family": LINEAR6, "algo": "plane-flow", "seeds": [0]}))
@@ -562,6 +587,45 @@ def test_beta_and_delta_run_where_they_are_read(tmp_path, capsys):
     # null is the default, with the exact oracle too
     assert (run(["--algo", "plane"], {"algo": "plane", "beta": None, "delta": None})
             == run(["--algo", "plane"], {"algo": "plane"}))
+
+
+@pytest.mark.parametrize("key", ["beta", "delta"])
+@pytest.mark.parametrize("algo", list(runner.ALGOS))
+def test_the_table_names_each_oracle_setting_a_run_reads(algo, key):
+    """A run whose ``reads`` names beta (delta) spends queries by its value;
+    any other run refuses it."""
+    entry = runner.ALGOS[algo]
+    obj = {"family": LINEAR6, "algo": algo, "seeds": [0],
+           "oracle": "exact" if entry.exact_only else "sampling",
+           "algo_params": {key: value for key, value in {"alpha": 0.5, "blocks": 3}.items()
+                           if key in entry.reads}}
+    if key in entry.reads:
+        spent = {runner.run_one(runner.ExperimentConfig.from_dict(obj | {key: value}), 0)[0]
+                 .pure_queries for value in (0.4, 0.5)}
+        assert len(spent) == 2 and 0 not in spent
+    else:
+        reader = "oracle 'exact'" if entry.exact_only else f"algorithm {algo!r}"
+        with pytest.raises(ValueError, match=f"^{reader} does not read '{key}'$"):
+            runner.ExperimentConfig.from_dict(obj | {key: 0.4})
+
+
+def test_sweep_cells_hold_only_the_values_a_run_read(capsys):
+    def rows(*argv):
+        assert main(["sweep", "--n", "6", *argv]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+    exact = rows("--algo", "plane", "--oracle", "exact", "--beta", "0.3", "--delta", "0.1",
+                 "--seeds", "0:2")
+    assert len(exact) == 2
+    assert all(row["beta"] == row["delta"] == "" and row["pure_queries"] == "0"
+               for row in exact)
+    sampled = {row["algorithm"]: row for row in rows(
+        "--algo", "plane,one-step", "--oracle", "sampling", "--beta", "0.5", "--delta", "0.1",
+        "--alpha", "0.5", "--seeds", "0:1")}
+    cells = ("alpha", "eta", "beta", "delta", "blocks")
+    assert [sampled["plane"][key] for key in cells] == ["0.5", "0.1", "0.5", "", ""]
+    assert [sampled["one-step"][key] for key in cells] == ["", "", "0.5", "0.1", ""]
 
 
 def test_integral_floats_and_nulls_in_a_config_run_as_their_values(tmp_path, capsys):
