@@ -26,8 +26,8 @@ from .games import MixedProfile, regret_report
 
 FAMILY_FLAGS = {key: cast for _, reads in families.FAMILIES.values()
                 for key, (cast, _) in reads.items()}
-# the defaults of the flags no table owns; run's flags default to unset, so
-# that a flag given beside --config can be told from a default
+# the defaults of the flags no table owns; flags default to unset, so that a
+# flag given beside --config or a bound table can be told from a default
 DEFAULTS = {"family": "linear-influence", "n": 50, "algo": "plane", "oracle": "exact",
             "seeds": "0:1"}
 # the run flag (its dest) of each algo_params key
@@ -36,6 +36,20 @@ ALGO_FLAGS = {key: "algo_c" if key == "c" else key for key in runner.PARAMS}
 
 def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
+
+
+def _set_defaults(args):
+    """Give each flag of DEFAULTS that the command has and was not given its default."""
+    for key, value in DEFAULTS.items():
+        if getattr(args, key, value) is None:
+            setattr(args, key, value)
+
+
+def _refuse_beside(args, dest: str, reads=()):
+    """Refuse every flag given beside --dest but the flags (dests) it ``reads``."""
+    for key, value in vars(args).items():
+        if value is not None and key not in ("command", "func", dest, *reads):
+            raise ValueError(f"{_flag(key)} cannot be given with {_flag(dest)}")
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -72,6 +86,7 @@ def _family_params(args) -> dict:
 
 
 def cmd_generate(args) -> int:
+    _set_defaults(args)
     params = _family_params(args)
     desc = families.descriptor(args.family, params, args.seed)
     game = families.game_from_descriptor(desc)  # validate before writing
@@ -91,18 +106,13 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     if args.config:  # the file sets everything but --out and --downsample
-        for key, value in vars(args).items():
-            if value is not None and key not in ("command", "func", "config", "out",
-                                                 "downsample"):
-                raise ValueError(f"{_flag(key)} cannot be given with --config")
+        _refuse_beside(args, "config", ("out", "downsample"))
         with open(args.config) as fh:
             config = runner.ExperimentConfig.from_dict(json.load(fh))
         if args.out:
             config.out = args.out
     else:
-        for key, value in DEFAULTS.items():
-            if getattr(args, key) is None:
-                setattr(args, key, value)
+        _set_defaults(args)
         config = runner.ExperimentConfig.from_dict({
             "family": {"family": args.family, "params": _family_params(args)},
             "algo": args.algo, "oracle": args.oracle, "seeds": _parse_seeds(args.seeds),
@@ -139,28 +149,30 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.compare_bounds:  # a bound table reads only the grids it is tabulated over
+        _refuse_beside(args, "compare_bounds", ("family", "c", "out"))
+    if args.bu_bounds:
+        _refuse_beside(args, "bu_bounds", ("family", "c", "k", "blocks", "out"))
+    _set_defaults(args)
     params = {key: _parse_grid(key, value, FAMILY_FLAGS.get(key, int))  # n is an int
               if isinstance(value, str) else [value]  # a default, --ell or --gamma
               for key, value in _family_params(args).items()}
-    blocks_grid = _parse_grid("blocks", args.blocks, runner.PARAMS["blocks"][0])
+    grids = {key: _parse_grid(key, getattr(args, key), runner.PARAMS.get(key, (float,))[0])
+             for key in runner.SWEEP_INPUTS if getattr(args, key) is not None}
     if (args.compare_bounds or args.bu_bounds) and not {"c", "k"} <= params.keys():
         raise ValueError(f"family {args.family!r} has no c and k to tabulate bounds over")
     if args.compare_bounds:
         rows = blocks.compare_methods(params["c"])
         cols = ["c", "curve_bound", "block_bound"]
     elif args.bu_bounds:
-        rows = blocks.bound_table(params["c"], params["k"], blocks_grid)
+        rows = blocks.bound_table(params["c"], params["k"],
+                                  grids.get("blocks", [runner.PARAMS["blocks"][1]]))
         cols = ["c", "k", "N", "epsilon_case", "epsilon"]
     else:
-        rows = runner.sweep_rows(
-            algos=[a for a in args.algo.split(",") if a],
-            family=args.family,
-            params=params,
-            alphas=_parse_grid("alpha", args.alpha, runner.PARAMS["alpha"][0]),
-            blocks_grid=blocks_grid,
-            seeds=_parse_seeds(args.seeds),
-            oracle=args.oracle, eta=args.eta, beta=args.beta, delta=args.delta,
-            timing=args.timing)
+        rows = runner.sweep_rows(algos=[a for a in args.algo.split(",") if a],
+                                 family=args.family, params=params, grids=grids,
+                                 seeds=_parse_seeds(args.seeds), oracle=args.oracle,
+                                 timing=bool(args.timing), spell=_flag)
         cols = list(runner.SWEEP_COLUMNS) + (["wall_ms"] if args.timing else [])
     text = runner.rows_to_csv(rows, cols)
     if args.out:
@@ -199,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="largegames",
                                      description="payoff-query equilibrium experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    default = {key: value for key, (_, value) in runner.PARAMS.items()}
     readers = {key: [name for name, entry in runner.ALGOS.items() if key in entry.reads]
                for key in ("beta", "delta", "c")}
     banded = ", ".join(name for name in readers["beta"] if name not in readers["delta"])
@@ -211,13 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     grid = "comma-separated grid"
 
-    def add_family(p, grids=False, unset=False):
-        p.add_argument("--family", default=None if unset else DEFAULTS["family"],
-                       choices=families.FAMILIES)
+    def add_family(p, grids=False):
+        p.add_argument("--family", choices=families.FAMILIES)
         if grids:  # parsed by cmd_sweep; the -grid spellings are aliases
-            p.add_argument("--n", "--n-grid", default=str(DEFAULTS["n"]), help=grid)
+            p.add_argument("--n", "--n-grid", help=grid)
         else:
-            p.add_argument("--n", type=int, default=None if unset else DEFAULTS["n"])
+            p.add_argument("--n", type=int)
         for key, cast in FAMILY_FLAGS.items():
             grid_flag = grids and key in ("k", "c")  # the sweep CSV has a column for each
             p.add_argument(f"--{key}", *(["--k-grid"] if grid_flag and key == "k" else []),
@@ -232,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_generate)
 
     run = sub.add_parser("run", help="run one algorithm over seeds")
-    add_family(run, unset=True)
+    add_family(run)
     run.add_argument("--config", help="JSON ExperimentConfig to load")
     run.add_argument("--algo", choices=list(runner.ALGOS))
     run.add_argument("--oracle", choices=["exact", "sampling"])
@@ -251,21 +261,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="grid of runs to CSV")
     add_family(sweep, grids=True)
-    sweep.add_argument("--algo", default="plane")
-    sweep.add_argument("--oracle", default="exact", choices=["exact", "sampling"])
-    sweep.add_argument("--alpha", "--alpha-grid", default=str(default["alpha"]), help=grid)
-    sweep.add_argument("--eta", type=float, default=default["eta"])
-    sweep.add_argument("--beta", type=float, default=None, help=beta_help)
-    sweep.add_argument("--delta", type=float, default=None, help=delta_help)
-    sweep.add_argument("--blocks", "--blocks-grid", default=str(default["blocks"]), help=grid)
-    sweep.add_argument("--seeds", default="")
-    sweep.add_argument("--timing", action="store_true",
+    sweep.add_argument("--algo")
+    sweep.add_argument("--oracle", choices=["exact", "sampling"])
+    oracle_helps = {"beta": beta_help, "delta": delta_help}
+    for key in runner.SWEEP_INPUTS:  # parsed by cmd_sweep
+        sweep.add_argument(f"--{key}", *([f"--{key}-grid"] if key in ("alpha", "blocks") else []),
+                           help=f"{grid}; {oracle_helps[key]}" if key in oracle_helps else grid)
+    sweep.add_argument("--seeds")
+    sweep.add_argument("--timing", action="store_true", default=None,
                        help="append a wall_ms column (off by default to keep bytes reproducible)")
-    sweep.add_argument("--compare-bounds", action="store_true",
+    sweep.add_argument("--compare-bounds", action="store_true", default=None,
                        help="emit the curve-vs-block bound table for the c grid")
-    sweep.add_argument("--bu-bounds", action="store_true",
+    sweep.add_argument("--bu-bounds", action="store_true", default=None,
                        help="emit the block-update bound table over c, k and blocks grids")
-    sweep.add_argument("--out", default=None)
+    sweep.add_argument("--out")
     sweep.set_defaults(func=cmd_sweep)
 
     ver = sub.add_parser("verify", help="grade a mixed profile on a game")

@@ -121,10 +121,10 @@ def simulate_curve_flow(game: Game, c: float, step_h: float = 1e-3,
     tol = 2.0 * step_h * max(1.0, 1.0 / (2.0 * c))
 
     def rule(p, v, v_prev):
-        toward_one, pstar, line, disc, rho = _curve_state(p, v, c)
+        toward_one, _, _, disc, rho = _curve_state(p, v, c)
         ddot = (disc - np.abs(v_prev[:, 1] - v_prev[:, 0])) / step_h
         rate = _clip(ddot / (2.0 * c), -1.0, 1.0)  # tracking, unless held or climbing
-        rate[(rho > tol) & (pstar > line)] = 0.0
+        rate[rho > tol] = 0.0  # hold: rho > 0 only where p* is above the uncapped line
         rate[rho < -tol] = 1.0
         rate *= np.where(toward_one, step_h, -step_h)  # the move of p, not of p*
         return np.add(p, rate, out=rate), rho

@@ -38,7 +38,10 @@ class Algorithm:
     bound: Callable | None = None
     reads: tuple[str, ...] = ()
     binary_only: bool = True
-    exact_only: bool = False
+
+    @property
+    def exact_only(self) -> bool:
+        return not {"beta", "delta"} & set(self.reads)  # it makes no pure query
 
     def read(self, config, game) -> dict:
         """Each ``reads`` key of ``config.algo_params``, cast, with its default
@@ -90,7 +93,7 @@ def _run_uniform(session, config, params):
 
 ALGOS = {
     "uniform": Algorithm(_run_uniform, lambda params, game: (game.k - 1) / game.k,
-                         binary_only=False, exact_only=True),
+                         binary_only=False),
     "one-step": Algorithm(_run_query("one_step"), lambda params, game: 0.272,
                           reads=("beta", "delta")),
     "two-step": Algorithm(_run_query("two_step"), lambda params, game: 0.25,
@@ -110,9 +113,9 @@ ALGOS = {
         lambda params, game: blocks.block_update_bound(game.c, game.k, params["blocks"]),
         reads=("blocks", "beta", "delta"), binary_only=False),
     "plane-flow": Algorithm(_run_flow("simulate_plane_flow"),
-                            reads=("step_h", "horizon"), exact_only=True),
+                            reads=("step_h", "horizon")),
     "curve-flow": Algorithm(_run_flow("simulate_curve_flow"),
-                            reads=("c", "step_h", "horizon"), exact_only=True),
+                            reads=("c", "step_h", "horizon")),
 }
 
 
@@ -154,9 +157,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict, spell=repr) -> "ExperimentConfig":
-        """The config a JSON object (a config file, or the run flags) sets; the
-        one place that refuses an input the run would not read.  ``spell(key)``
-        names a key as the input gave it, a config key or a flag."""
+        """The config a JSON object (a config file, run flags or a sweep cell)
+        sets; the one place that refuses an input the run would not read.
+        ``spell(key)`` names a key as the input gave it, a config key or a flag."""
         families.check_object(obj, ("family", "algo"), "config",
                               allowed=("family", *_CONFIG_TYPES))
         families.check_object(obj["family"], ("family",), "config family",
@@ -234,59 +237,57 @@ def parallel_over_seeds(fn, seeds):
         return list(pool.map(fn, seeds))
 
 
-SWEEP_COLUMNS = ["algorithm", "family", "n", "c", "k", "alpha", "eta", "beta",
-                 "delta", "blocks", "seed", "max_regret", "pure_queries", "qm_calls"]
+SWEEP_INPUTS = ("alpha", "eta", "beta", "delta", "blocks")
+SWEEP_COLUMNS = ["algorithm", "family", "n", "c", "k", *SWEEP_INPUTS,
+                 "seed", "max_regret", "pure_queries", "qm_calls"]
 
 
-def sweep_rows(algos, family: str, params: dict, alphas, blocks_grid, seeds,
-               oracle: str = "exact", eta: float = PARAMS["eta"][1],
-               beta: float | None = None, delta: float | None = None,
-               timing: bool = False) -> list[dict]:
-    """Cross product of the parameter grids, one row per run.
+def sweep_rows(algos, family: str, params: dict, grids: dict, seeds,
+               oracle: str = "exact", timing: bool = False, spell=repr) -> list[dict]:
+    """Cross product of the grids, one row per run.
 
-    ``params`` maps "n" and params the family reads to grids.  Each algorithm
-    runs over the grids of the inputs it reads (``reads``), beta and delta
-    only under the sampling oracle.  A row's alpha, eta, beta, delta and
-    blocks cells hold the values its run read and are blank otherwise; its
-    n, c and k are those of the game.
+    ``params`` maps "n" and params the family reads to grids, ``grids`` run
+    inputs (``SWEEP_INPUTS``).  Each algorithm runs over the grids of the
+    inputs it reads; a grid no algorithm reads goes to every run, so that
+    ``ExperimentConfig.from_dict`` refuses it (named by ``spell``) before any
+    run.  A row's input cells hold the values its run read, defaults included,
+    and are blank otherwise; its n, c and k are those of the game.
     """
-    grids = {"alpha": list(alphas) or [PARAMS["alpha"][1]], "eta": [eta],
-             "blocks": list(blocks_grid) or [PARAMS["blocks"][1]]}
-    if oracle == "sampling":  # an unset one keeps the run's default and a blank cell
-        grids |= {key: [value] for key, value in (("beta", beta), ("delta", delta))
-                  if value is not None}
-    rows = []
+    for algo in (algo for algo in algos if algo not in ALGOS):
+        raise ValueError(f"unknown algorithm {algo!r}")
+    read_by_some = {key for algo in algos for key in ALGOS[algo].reads}
+    cells = []
     for algo in algos:
-        if algo not in ALGOS:
-            raise ValueError(f"unknown algorithm {algo!r}")
         entry = ALGOS[algo]
-        keys = [key for key in grids if key in entry.reads]
+        keys = [key for key in grids if key in entry.reads or key not in read_by_some]
         for cell in itertools.product(*params.values(), *(grids[key] for key in keys)):
-            read = dict(zip(keys, cell[len(params):]))
-            config = ExperimentConfig(
-                family={"family": family, "params": dict(zip(params, cell[:len(params)]))},
-                algo=algo, algo_params={key: read[key] for key in read if key in PARAMS},
-                oracle=oracle, beta=read.get("beta"), delta=read.get("delta"),
-                seeds=list(seeds))
+            given = dict(zip(keys, cell[len(params):]))
+            config = ExperimentConfig.from_dict({
+                "family": {"family": family, "params": dict(zip(params, cell[:len(params)]))},
+                "algo": algo, "oracle": oracle, "seeds": list(seeds),
+                "algo_params": {key: value for key, value in given.items() if key in PARAMS},
+                **{key: value for key, value in given.items() if key not in PARAMS}}, spell)
             k = families.check_family(family, config.family["params"]).get("k", 2)
-            if entry.binary_only and k != 2:  # a family that does not read k is binary
-                continue
+            if not entry.binary_only or k == 2:  # a family that does not read k is binary
+                defaults = {key: PARAMS[key][1] for key in entry.reads if key in PARAMS}
+                cells.append((config, k, defaults | given))
 
-            def timed(seed, config=config):
-                start = time.perf_counter()
-                report, _, _ = run_one(config, seed)
-                return report, (time.perf_counter() - start) * 1e3
+    rows = []
+    for config, k, read in cells:
+        def timed(seed):  # runs before the loop moves on to the next config
+            start = time.perf_counter()
+            report, _, _ = run_one(config, seed)
+            return report, (time.perf_counter() - start) * 1e3
 
-            for seed, (report, wall_ms) in zip(config.seeds,
-                                               parallel_over_seeds(timed, config.seeds)):
-                row = {"algorithm": algo, "family": family, "n": report.n, "c": report.c,
-                       "k": k, "seed": seed, "max_regret": report.max_regret,
-                       "pure_queries": report.pure_queries, "qm_calls": report.qm_calls}
-                row |= {key: read.get(key, "")
-                        for key in ("alpha", "eta", "beta", "delta", "blocks")}
-                if timing:
-                    row["wall_ms"] = round(wall_ms, 3)
-                rows.append(row)
+        for seed, (report, wall_ms) in zip(config.seeds,
+                                           parallel_over_seeds(timed, config.seeds)):
+            row = {"algorithm": config.algo, "family": family, "n": report.n, "c": report.c,
+                   "k": k, **{key: read.get(key, "") for key in SWEEP_INPUTS}, "seed": seed,
+                   "max_regret": report.max_regret, "pure_queries": report.pure_queries,
+                   "qm_calls": report.qm_calls}
+            if timing:
+                row["wall_ms"] = round(wall_ms, 3)
+            rows.append(row)
 
     def key(r):
         return (r["algorithm"], r["n"], r["c"], r["k"],

@@ -245,8 +245,8 @@ def test_sweep_sampling_query_counts_match_formula():
     import math
 
     rows = runner.sweep_rows(["plane"], "linear-influence", {"n": [5], "k": [2], "c": [1.0]},
-                             alphas=[0.2, 0.3], blocks_grid=[100],
-                             seeds=[0], oracle="sampling", eta=0.1, beta=0.5)
+                             {"alpha": [0.2, 0.3], "eta": [0.1], "beta": [0.5]},
+                             seeds=[0], oracle="sampling")
     assert len(rows) == 2
     for row in rows:
         params = lg.DynamicsParams(alpha=row["alpha"], eta=0.1)
@@ -381,6 +381,27 @@ DOWNSAMPLE_UNREAD = ("--downsample needs --out and an algorithm that writes a tr
       "--seeds", "0:1"], None, "uniform runs with the exact oracle only"),
     (["run", "--algo", "plane", "--n", "6", "--trace", "t.jsonl"], None,
      "oracle 'exact' does not read --trace"),
+    # a sweep refuses, as run does, a grid that none of its algorithms would read
+    (["sweep", "--algo", "one-step", "--eta", "0.2", "--alpha", "0.3", "--blocks", "7",
+      "--n", "6", "--seeds", "0:1"], None, "algorithm 'one-step' does not read --alpha"),
+    (["sweep", "--algo", "plane", "--oracle", "exact", "--beta", "0.3", "--delta", "0.1",
+      "--n", "6", "--seeds", "0:2"], None, "oracle 'exact' does not read --beta"),
+    (["sweep", "--algo", "one-step,two-step", "--eta", "0.2,0.3", "--n", "6",
+      "--seeds", "0:1"], None, "algorithm 'one-step' does not read --eta"),
+    # a bound table reads --family, its c grid, --out, and k and blocks for --bu-bounds
+    (["sweep", "--compare-bounds", "--c", "0.5,1", "--algo", "one-step", "--seeds", "0:3",
+      "--oracle", "sampling", "--beta", "0.3", "--alpha", "0.2", "--n", "7"], None,
+     "--n cannot be given with --compare-bounds"),
+    (["sweep", "--compare-bounds", "--c", "0.5,1", "--seeds", "0:3"], None,
+     "--seeds cannot be given with --compare-bounds"),
+    (["sweep", "--compare-bounds", "--c", "1", "--k", "3"], None,
+     "--k cannot be given with --compare-bounds"),
+    (["sweep", "--bu-bounds", "--c", "1", "--k", "2", "--blocks", "5", "--alpha", "0.3",
+      "--timing", "--eta", "0.5"], None, "--alpha cannot be given with --bu-bounds"),
+    (["sweep", "--bu-bounds", "--c", "1", "--timing"], None,
+     "--timing cannot be given with --bu-bounds"),
+    (["sweep", "--compare-bounds", "--bu-bounds", "--c", "1"], None,
+     "--bu-bounds cannot be given with --compare-bounds"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, argv, threads, message):
     if threads is not None:
@@ -615,17 +636,57 @@ def test_sweep_cells_hold_only_the_values_a_run_read(capsys):
         header, *lines = capsys.readouterr().out.splitlines()
         return [dict(zip(header.split(","), line.split(","))) for line in lines]
 
-    exact = rows("--algo", "plane", "--oracle", "exact", "--beta", "0.3", "--delta", "0.1",
-                 "--seeds", "0:2")
-    assert len(exact) == 2
-    assert all(row["beta"] == row["delta"] == "" and row["pure_queries"] == "0"
-               for row in exact)
+    assert main(["sweep", "--n", "6", "--algo", "plane", "--oracle", "exact", "--beta", "0.3",
+                 "--delta", "0.1", "--seeds", "0:2"]) == 2
+    assert capsys.readouterr().err == "error: oracle 'exact' does not read --beta\n"
     sampled = {row["algorithm"]: row for row in rows(
         "--algo", "plane,one-step", "--oracle", "sampling", "--beta", "0.5", "--delta", "0.1",
         "--alpha", "0.5", "--seeds", "0:1")}
     cells = ("alpha", "eta", "beta", "delta", "blocks")
     assert [sampled["plane"][key] for key in cells] == ["0.5", "0.1", "0.5", "", ""]
     assert [sampled["one-step"][key] for key in cells] == ["", "", "0.5", "0.1", ""]
+
+
+def test_refused_sweeps_write_no_csv(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    for argv in (["--algo", "one-step", "--eta", "0.2", "--n", "6", "--seeds", "0:1"],
+                 ["--algo", "plane", "--beta", "0.3", "--n", "6", "--seeds", "0:1"],
+                 ["--algo", "one-step,uniform", "--oracle", "sampling", "--n", "6"],
+                 ["--compare-bounds", "--bu-bounds"],
+                 ["--bu-bounds", "--eta", "0.5"]):
+        assert main(["sweep", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+
+class _Ran(Exception):
+    """Raised in place of a run, carrying the config the run was given."""
+
+
+@pytest.mark.parametrize("oracle", ["exact", "sampling"])
+@pytest.mark.parametrize("flag,value", [("alpha", "0.5"), ("eta", "0.2"), ("blocks", "3"),
+                                        ("beta", "0.5"), ("delta", "0.1")])
+@pytest.mark.parametrize("algo", list(runner.ALGOS))
+def test_a_one_algorithm_sweep_accepts_and_refuses_what_run_does(monkeypatch, capsys, algo,
+                                                                  flag, value, oracle):
+    """From the same flags, run and sweep make the same config, or refuse the
+    flags with the same line."""
+    def ran(config, seed):
+        raise _Ran(config)
+
+    monkeypatch.setattr(runner, "run_one", ran)
+    argv = ["--algo", algo, "--oracle", oracle, f"--{flag}", value, "--n", "6", "--seeds", "0:1"]
+    outcomes = []
+    for command in ("run", "sweep"):
+        try:
+            outcomes.append((main([command, *argv]), capsys.readouterr().err))
+        except _Ran as stopped:
+            outcomes.append(stopped.args)
+    assert outcomes[0] == outcomes[1]
+    entry = runner.ALGOS[algo]
+    read = flag in entry.reads and not (oracle == "exact" and flag in ("beta", "delta"))
+    assert isinstance(outcomes[0][0], runner.ExperimentConfig) == read
+    assert read or outcomes[0][0] == 2
 
 
 def test_integral_floats_and_nulls_in_a_config_run_as_their_values(tmp_path, capsys):
