@@ -43,6 +43,14 @@ class LinearInfluenceGame(Game):
     construction.  That is the order of ``np.einsum("iljb,lb->ij", weights,
     probs)``, bit for bit for k <= 7 (checked with numpy 2.4, n <= 100); for
     larger k einsum groups the terms differently and they agree to rounding.
+
+    A game with k^n <= ``BATCH_ROWS`` pure profiles answers every batch of
+    two or more rows from a read-only (k^n, n) table of all their payoffs,
+    built by the first such batch with one kernel call on every profile.  At
+    these sizes a GEMM gives a row the same bits at every height of two or
+    more rows (checked with OpenBLAS at one and two threads, k <= 8), so the
+    table answers equal the kernel's.  One-row batches, which numpy computes
+    as a GEMV with other low bits, and larger games stay on the kernel.
     """
 
     def __init__(self, base: np.ndarray, weights: np.ndarray, c: float):
@@ -70,6 +78,7 @@ class LinearInfluenceGame(Game):
         # action-0 row sums: the batch path adds per-action differences to them
         self._batch_zero = _readonly(w[0].sum(axis=0))
         self._operand_cache = None  # batch operands, built by the first batch
+        self._table = None  # every profile's payoffs and code radix, when k^n <= BATCH_ROWS
         self._scratch = threading.local()  # per-thread k > 2 batch buffers
 
     @property
@@ -79,6 +88,11 @@ class LinearInfluenceGame(Game):
 
     def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty((actions.shape[0], self.n)) if out is None else out
+        if actions.shape[0] > 1 and self.k ** self.n <= BATCH_ROWS:
+            table, radix = self._profile_table()
+            # each row's C-order code, an exact integer in float, picks its table row
+            codes = np.matmul(actions, radix).astype(np.intp)
+            return np.take(table, codes, axis=0, out=out, mode="clip")
         for lo in range(0, actions.shape[0], BATCH_ROWS):  # one sampling chunk at a time
             self._chunk_payoffs(actions[lo:lo + BATCH_ROWS], out[lo:lo + BATCH_ROWS])
         return out
@@ -133,6 +147,23 @@ class LinearInfluenceGame(Game):
         out += np.take(self._batch_zero, idx, out=x, mode="clip")
         out *= self.mu / (n - 1)
         out += np.take(base, idx, out=x, mode="clip")
+
+    def _profile_table(self):
+        """The (k^n, n) payoffs of every pure profile, row c for the profile whose
+        C-order code (base-k digits, player 0 first) is c, and the float radix
+        vector of those codes.  One ``_chunk_payoffs`` call computes them, so they
+        are not counted as queries; they are read-only and published in one
+        assignment, like the operand cache."""
+        cached = self._table
+        if cached is None:
+            n, k = self.n, self.k
+            table = np.empty((k ** n, n))
+            self._chunk_payoffs(np.indices((k,) * n).reshape(n, -1).T, table)
+            cached = (table, float(k) ** np.arange(n - 1, -1, -1))
+            for arr in cached:
+                arr.setflags(write=False)
+            self._table = cached
+        return cached
 
     def _operands(self, m: int):
         """The operands of an m-row chunk, with (., rows, n) tiles, rows >= m.

@@ -10,8 +10,8 @@ games, and the verifiers (``regret_report`` for regret, discrepancy and
 well-supported slack, ``check_largeness``) that grade every algorithm.
 
 All types are immutable after construction and every operation is pure,
-so values can be shared freely across threads.  There are two
-exceptions, both in ``LinearInfluenceGame``'s batch evaluation:
+so values can be shared freely across threads.  There are three
+exceptions, all in ``LinearInfluenceGame``'s batch evaluation:
 
 - its one operand cache, which the first batch builds: the GEMM operands
   and constant tiles at most one chunk (``BATCH_ROWS`` rows) high (and for
@@ -19,6 +19,9 @@ exceptions, both in ``LinearInfluenceGame``'s batch evaluation:
   from the immutable fields and published by a single attribute assignment,
   so two threads that race there build equal arrays twice and each computes
   with its own;
+- its payoff table, when the game has k^n <= ``BATCH_ROWS`` pure
+  profiles: every profile's payoffs, built by the first batch of two or
+  more rows with one kernel call and published like the operand cache;
 - the k > 2 kernel's scratch buffers (mask, product, index), at most one
   chunk high and held per thread in a ``threading.local``, so each thread
   writes only its own.
@@ -166,7 +169,8 @@ class Game(ABC):
         Only one-row answers are pinned.  A row inside a batch gets the bits of
         its ``BATCH_ROWS``-row chunk, and OpenBLAS picks its summation order by
         shape: at n = 60 about 99% of the rows of a 4096-row linear-influence
-        chunk differ in their last bits from the same row alone.
+        chunk differ in their last bits from the same row alone.  A one-row
+        batch is therefore never answered from a linear-influence payoff table.
         """
         a = as_pure_profile(actions, self.n, self.k)
         return self.payoffs_batch(a[None, :])[0]

@@ -148,10 +148,7 @@ class ExperimentConfig:
         if self.algo not in ALGOS:
             raise ValueError(f"unknown algorithm {self.algo!r}")
         families.check_family(self.family.get("family"), self.family.get("params", {}))
-        if self.oracle not in ("exact", "sampling"):
-            raise ValueError("oracle must be 'exact' or 'sampling'")
-        if ALGOS[self.algo].exact_only and self.oracle != "exact":
-            raise ValueError(f"{self.algo} runs with the exact oracle only")
+        _refuse_unread(self.algo, self.oracle)  # the oracle, and an exact-only algorithm
         if self.trace and len(self.seeds) > 1 and "{seed}" not in self.trace:
             raise ValueError("trace path needs a {seed} placeholder with multiple seeds")
 
@@ -173,15 +170,26 @@ class ExperimentConfig:
         config = cls(**obj)
         # the oracle reads beta, delta and trace; null is the default
         oracle_inputs = [key for key in ("beta", "delta", "trace") if obj.get(key) is not None]
-        for key in (*config.algo_params, *oracle_inputs):  # a null algo_params key too
-            if config.oracle == "exact" and key in oracle_inputs:
-                raise ValueError(f"oracle 'exact' does not read {spell(key)}")
-            if key != "trace" and key not in ALGOS[config.algo].reads:
-                raise ValueError(f"algorithm {config.algo!r} does not read {spell(key)}")
+        _refuse_unread(config.algo, config.oracle, config.algo_params, oracle_inputs, spell)
         families.check_object(config.algo_params, (), "config algo_params", allowed=PARAMS,
                               numbers=[key for key, value in config.algo_params.items()
                                        if value is not None])
         return config
+
+
+def _refuse_unread(algo: str, oracle: str, params=(), oracle_inputs=(), spell=repr) -> None:
+    """Raise ValueError unless ``algo`` runs under ``oracle`` and a run reads
+    every algo_params key in ``params`` (a null one too) and every set oracle
+    input in ``oracle_inputs`` (beta, delta, trace), checked in that order."""
+    if oracle not in ("exact", "sampling"):
+        raise ValueError("oracle must be 'exact' or 'sampling'")
+    if ALGOS[algo].exact_only and oracle != "exact":
+        raise ValueError(f"{algo} runs with the exact oracle only")
+    for key in (*params, *oracle_inputs):
+        if oracle == "exact" and key in oracle_inputs:
+            raise ValueError(f"oracle 'exact' does not read {spell(key)}")
+        if key != "trace" and key not in ALGOS[algo].reads:
+            raise ValueError(f"algorithm {algo!r} does not read {spell(key)}")
 
 
 def max_workers() -> int:
@@ -248,18 +256,24 @@ def sweep_rows(algos, family: str, params: dict, grids: dict, seeds,
 
     ``params`` maps "n" and params the family reads to grids, ``grids`` run
     inputs (``SWEEP_INPUTS``).  Each algorithm runs over the grids of the
-    inputs it reads; a grid no algorithm reads goes to every run, so that
-    ``ExperimentConfig.from_dict`` refuses it (named by ``spell``) before any
-    run.  A row's input cells hold the values its run read, defaults included,
-    and are blank otherwise; its n, c and k are those of the game.
+    inputs it reads; a grid no algorithm reads goes to every run.  Each
+    algorithm's inputs are checked, with ``ExperimentConfig.from_dict``'s
+    message (named by ``spell``), before any cell is built, so that an empty
+    family grid hides no refusal.  A row's input cells hold the values its run
+    read, defaults included, and are blank otherwise; its n, c and k are those
+    of the game.
     """
     for algo in (algo for algo in algos if algo not in ALGOS):
         raise ValueError(f"unknown algorithm {algo!r}")
     read_by_some = {key for algo in algos for key in ALGOS[algo].reads}
+    inputs = {algo: [key for key in grids if key in ALGOS[algo].reads or key not in read_by_some]
+              for algo in algos}
+    for algo, keys in inputs.items():
+        _refuse_unread(algo, oracle, [key for key in keys if key in PARAMS],
+                       [key for key in keys if key not in PARAMS], spell)
     cells = []
     for algo in algos:
-        entry = ALGOS[algo]
-        keys = [key for key in grids if key in entry.reads or key not in read_by_some]
+        entry, keys = ALGOS[algo], inputs[algo]
         for cell in itertools.product(*params.values(), *(grids[key] for key in keys)):
             given = dict(zip(keys, cell[len(params):]))
             config = ExperimentConfig.from_dict({

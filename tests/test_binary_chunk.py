@@ -12,6 +12,7 @@ for bit.
 
 import json
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -223,41 +224,116 @@ def test_trace_lines_carry_integer_profiles(monkeypatch, tmp_path):
 
 
 def test_constant_tiles_follow_the_batch_height():
-    game = lg.gen_linear_influence(10, 2, 1.0, seed=3)
+    # n = 13 has 8192 pure profiles, too many for a payoff table
+    game = lg.gen_linear_influence(13, 2, 1.0, seed=3)
     assert game._operand_cache is None  # exact-only games never build them
-    game.mixed_payoff_table(lg.MixedProfile.uniform(10).probs)
+    game.mixed_payoff_table(lg.MixedProfile.uniform(13).probs)
     assert game._operand_cache is None
     rng = np.random.default_rng(5)
     for rows in (1, 17, 4096, 5000):
-        a = rng.integers(0, 2, size=(rows, 10)).astype(np.int8)
-        fresh = lg.gen_linear_influence(10, 2, 1.0, seed=3)
+        a = rng.integers(0, 2, size=(rows, 13)).astype(np.int8)
+        fresh = lg.gen_linear_influence(13, 2, 1.0, seed=3)
         got = game.payoffs_batch(a.astype(np.float64))
         assert np.array_equal(got, fresh.payoffs_batch(a.astype(np.float64)))
         assert np.array_equal(got, linear_payoffs(game, a))
         d, tiles = game._operand_cache
         # taller batches than a sampling chunk are combined in chunk-high blocks
-        assert tiles.shape == (4, min(rows, BATCH_ROWS), 10)
+        assert tiles.shape == (4, min(rows, BATCH_ROWS), 13)
+    assert game._table is None
     assert not d.flags.writeable and not tiles.flags.writeable
 
 
 def test_threads_sharing_a_fresh_game_reproduce_sequential_payoffs():
-    # k = 2 races the constant tiles; k = 3 also the per-thread scratch
+    # n = 7 races the payoff table's build; n = 13 (k = 2) the constant tiles and
+    # n = 8 (k = 3) also the per-thread scratch, as those games have no table
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, mid-kernel
     try:
-        for k, dtype in ((2, np.float64), (3, np.int8)):
+        for k, n, dtype in ((2, 7, np.float64), (3, 7, np.int8),
+                            (2, 13, np.float64), (3, 8, np.int8)):
             rng = np.random.default_rng(8)
-            batches = [rng.integers(0, k, size=(rows, 7)).astype(dtype)
+            batches = [rng.integers(0, k, size=(rows, n)).astype(dtype)
                        for rows in (4096, 1, 5000, 17, 4096, 300, 8192, 2)]
-            want = [lg.gen_linear_influence(7, k, 1.0, seed=9).payoffs_batch(a)
+            want = [lg.gen_linear_influence(n, k, 1.0, seed=9).payoffs_batch(a)
                     for a in batches]
             for _ in range(5):  # each round races the first builds on a fresh game
-                game = lg.gen_linear_influence(7, k, 1.0, seed=9)
+                game = lg.gen_linear_influence(n, k, 1.0, seed=9)
                 with ThreadPoolExecutor(max_workers=4) as pool:
                     got = list(pool.map(game.payoffs_batch, batches, timeout=60))
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                assert (game._table is None) == (k ** n > BATCH_ROWS)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_payoff_table_answers_equal_the_reference(n):
+    # every binary game with 2^n <= BATCH_ROWS profiles answers from its table
+    game = lg.gen_linear_influence(n, 2, 1.0, seed=n)
+    rng = np.random.default_rng(n)
+    for rows in (1, 2, 3, 5, 17, 100, 4095, 4096, 5000):
+        a = rng.integers(0, 2, size=(rows, n)).astype(np.int8)
+        want = linear_payoffs(game, a)
+        for dtype in (np.float64, np.int8, np.int64):
+            assert np.array_equal(game.payoffs_batch(a.astype(dtype)), want)
+    assert game._table[0].shape == (2 ** n, n)
+
+
+def test_a_one_row_batch_stays_on_the_kernel():
+    # numpy computes one row as a GEMV, whose low bits may differ from a GEMM row
+    game = lg.gen_linear_influence(10, 2, 1.0, seed=1)
+    a = np.random.default_rng(2).integers(0, 2, size=(1, 10)).astype(np.int8)
+    assert np.array_equal(game.payoffs_batch(a), linear_payoffs(game, a))
+    assert np.array_equal(game.payoffs(a[0]), linear_payoffs(game, a)[0])
+    assert game._table is None
+    game.payoffs_batch(np.repeat(a, 2, axis=0))
+    assert np.array_equal(game.payoffs_batch(a), linear_payoffs(game, a))
+
+
+@pytest.mark.parametrize("n", (12, 13))
+def test_the_table_covers_at_most_one_chunk_of_profiles(n):
+    game = lg.gen_linear_influence(n, 2, 1.0, seed=0)
+    a = np.random.default_rng(0).integers(0, 2, size=(17, n)).astype(np.int8)
+    assert np.array_equal(game.payoffs_batch(a), linear_payoffs(game, a))
+    if n == 12:
+        table, _ = game._table
+        assert table.shape == (BATCH_ROWS, 12) and not table.flags.writeable
+    else:
+        assert game._table is None
+
+
+def test_traced_rows_equal_the_pure_queries_of_a_sampled_run(monkeypatch):
+    # the table is built without going through payoffs_batch, so that every
+    # row a wrapped payoffs_batch sees is one pure query
+    seen = []
+    batch = LinearInfluenceGame.payoffs_batch
+
+    def counted(game, actions, out=None):
+        seen.append((game, actions.shape[0]))
+        return batch(game, actions, out)
+
+    monkeypatch.setattr(LinearInfluenceGame, "payoffs_batch", counted)
+    game = lg.gen_linear_influence(6, 2, 1.0, seed=3)
+    session = lg.OracleSession(game, seed=1)
+    lg.plane_dynamics(session, lg.DynamicsParams(alpha=0.25, eta=0.2), "sampling", 0.6)
+    assert game._table is not None
+    assert all(g is game for g, _ in seen)
+    assert sum(rows for _, rows in seen) == session.pure_queries > 0
+
+
+def test_second_estimate_allocates_less_than_one_float_chunk():
+    game = lg.gen_linear_influence(10, 2, 1.0, seed=4)
+    session = lg.OracleSession(game, seed=2)
+    probs = random_profile(10, 1).probs
+    session.sample_mixed_binary(probs, 0.2, 0.01)  # builds the buffers and the table
+    tracemalloc.start()
+    try:
+        est = session.sample_mixed_binary(probs, 0.2, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.samples > 10 * lg.OracleSession._CHUNK
+    assert peak < lg.OracleSession._CHUNK * 10 * 8
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)

@@ -402,6 +402,12 @@ DOWNSAMPLE_UNREAD = ("--downsample needs --out and an algorithm that writes a tr
      "--timing cannot be given with --bu-bounds"),
     (["sweep", "--compare-bounds", "--bu-bounds", "--c", "1"], None,
      "--bu-bounds cannot be given with --compare-bounds"),
+    # a sweep refuses an unread grid before it builds a cell, so an empty
+    # family grid hides nothing
+    (["sweep", "--algo", "one-step", "--eta", "0.2", "--n", ""], None,
+     "algorithm 'one-step' does not read --eta"),
+    (["sweep", "--algo", "plane", "--beta", "0.2", "--c", ""], None,
+     "oracle 'exact' does not read --beta"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, argv, threads, message):
     if threads is not None:

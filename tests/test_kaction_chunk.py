@@ -115,6 +115,31 @@ def test_payoffs_batch_matches_mask_reference(k, n, dtype):
     assert np.array_equal(game.payoffs_batch(actions), mask_payoffs(game, actions))
 
 
+TABLE_GAMES = [(k, n) for k in range(3, 9) for n in range(2, 13) if k ** n <= 4096]
+
+
+@pytest.mark.parametrize("k,n", TABLE_GAMES)
+def test_payoff_table_answers_equal_the_mask_reference(k, n):
+    # every game with k^n <= BATCH_ROWS profiles answers batches of two or
+    # more rows from its table, and one-row batches from the kernel
+    game = lg.gen_linear_influence(n, k, 1.0, seed=10 * n + k)
+    rng = np.random.default_rng(n)
+    for rows in (1, 2, 3, 5, 17, 100, 4095, 4096, 5000):
+        actions = rng.integers(0, k, size=(rows, n)).astype(np.int8)
+        want = mask_payoffs(game, actions)
+        for dtype in (np.float64, np.int8, np.int64):
+            assert np.array_equal(game.payoffs_batch(actions.astype(dtype)), want)
+    assert game._table[0].shape == (k ** n, n)
+
+
+def test_kaction_table_covers_at_most_one_chunk_of_profiles():
+    for n, tabled in ((7, True), (8, False)):  # 3^7 = 2187 and 3^8 = 6561 profiles
+        game = lg.gen_linear_influence(n, 3, 1.0, seed=n)
+        actions = np.random.default_rng(n).integers(0, 3, size=(17, n)).astype(np.int8)
+        assert np.array_equal(game.payoffs_batch(actions), mask_payoffs(game, actions))
+        assert (game._table is not None) == tabled
+
+
 @pytest.mark.parametrize("rows", CHUNKS)
 @pytest.mark.parametrize("k", (3, 4))
 def test_payoffs_batch_takes_integer_valued_float_rows(k, rows):
