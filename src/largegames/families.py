@@ -24,6 +24,13 @@ from .games import (
 from .oracles import StochasticGame
 
 
+# The most pure profiles a linear-influence game tabulates.  The largest table
+# is 8 MiB (k = 2, n = 16), and 3^10 fits.  Every shape with k^n up to here
+# gives a row the same bits at every GEMM height of two or more rows; k = 2 at
+# n = 17 to 20 does not, so a higher limit needs a new scan.
+TABLE_PROFILES = 2 ** 16
+
+
 class LinearInfluenceGame(Game):
     """Own-action base payoff plus averaged pairwise influence terms.
 
@@ -44,13 +51,15 @@ class LinearInfluenceGame(Game):
     probs)``, bit for bit for k <= 7 (checked with numpy 2.4, n <= 100); for
     larger k einsum groups the terms differently and they agree to rounding.
 
-    A game with k^n <= ``BATCH_ROWS`` pure profiles answers every batch of
-    two or more rows from a read-only (k^n, n) table of all their payoffs,
-    built by the first such batch with one kernel call on every profile.  At
-    these sizes a GEMM gives a row the same bits at every height of two or
-    more rows (checked with OpenBLAS at one and two threads, k <= 8), so the
-    table answers equal the kernel's.  One-row batches, which numpy computes
-    as a GEMV with other low bits, and larger games stay on the kernel.
+    A game with k^n <= ``TABLE_PROFILES`` pure profiles answers every batch
+    of two or more rows from a read-only (k^n, n) table of all their payoffs,
+    looked up by each row's profile code.  The first such batch builds it in
+    slices of at most ``BATCH_ROWS // 8`` profiles, one kernel call each, so
+    the kernel's operands and scratch never grow past one slice.  At these
+    sizes a GEMM gives a row the same bits at every height of two or more rows
+    (checked with OpenBLAS at one and two threads), so the table answers equal
+    the kernel's.  One-row batches, which numpy computes as a GEMV with other
+    low bits, and larger games stay on the kernel.
     """
 
     def __init__(self, base: np.ndarray, weights: np.ndarray, c: float):
@@ -78,8 +87,8 @@ class LinearInfluenceGame(Game):
         # action-0 row sums: the batch path adds per-action differences to them
         self._batch_zero = _readonly(w[0].sum(axis=0))
         self._operand_cache = None  # batch operands, built by the first batch
-        self._table = None  # every profile's payoffs and code radix, when k^n <= BATCH_ROWS
-        self._scratch = threading.local()  # per-thread k > 2 batch buffers
+        self._table = None  # every profile's payoffs and code radix, when k^n <= TABLE_PROFILES
+        self._scratch = threading.local()  # per-thread code and k > 2 batch buffers
 
     @property
     def weights(self) -> np.ndarray:
@@ -88,11 +97,10 @@ class LinearInfluenceGame(Game):
 
     def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty((actions.shape[0], self.n)) if out is None else out
-        if actions.shape[0] > 1 and self.k ** self.n <= BATCH_ROWS:
+        if actions.shape[0] > 1 and self.k ** self.n <= TABLE_PROFILES:
             table, radix = self._profile_table()
-            # each row's C-order code, an exact integer in float, picks its table row
-            codes = np.matmul(actions, radix).astype(np.intp)
-            return np.take(table, codes, axis=0, out=out, mode="clip")
+            return np.take(table, self._profile_codes(actions, radix), axis=0, out=out,
+                           mode="clip")
         for lo in range(0, actions.shape[0], BATCH_ROWS):  # one sampling chunk at a time
             self._chunk_payoffs(actions[lo:lo + BATCH_ROWS], out[lo:lo + BATCH_ROWS])
         return out
@@ -151,19 +159,40 @@ class LinearInfluenceGame(Game):
     def _profile_table(self):
         """The (k^n, n) payoffs of every pure profile, row c for the profile whose
         C-order code (base-k digits, player 0 first) is c, and the float radix
-        vector of those codes.  One ``_chunk_payoffs`` call computes them, so they
-        are not counted as queries; they are read-only and published in one
-        assignment, like the operand cache."""
+        vector of those codes.  ``_chunk_payoffs`` computes the payoffs
+        ``BATCH_ROWS // 8`` profiles at a time, so they are not counted as
+        queries and the kernel's operands and scratch stay one slice high; they
+        are read-only and published in one assignment, like the operand cache."""
         cached = self._table
         if cached is None:
-            n, k = self.n, self.k
+            n, k, height = self.n, self.k, BATCH_ROWS // 8
             table = np.empty((k ** n, n))
-            self._chunk_payoffs(np.indices((k,) * n).reshape(n, -1).T, table)
+            for lo in range(0, k ** n, height):
+                codes = np.arange(lo, min(lo + height, k ** n))
+                rows = np.stack(np.unravel_index(codes, (k,) * n), axis=1)
+                self._chunk_payoffs(rows, table[lo:lo + height])
             cached = (table, float(k) ** np.arange(n - 1, -1, -1))
             for arr in cached:
                 arr.setflags(write=False)
             self._table = cached
         return cached
+
+    def _profile_codes(self, actions: np.ndarray, radix: np.ndarray) -> np.ndarray:
+        """Each row's C-order code, ``actions @ radix``, in this thread's buffers.
+        The codes are exact integers in float; integer rows are copied to float
+        first, since matmul would cast them into a new batch-sized array."""
+        m, n = actions.shape
+        scratch = getattr(self._scratch, "codes", None)
+        if scratch is None or scratch[2].shape[0] < m:
+            scratch = (np.empty((m, n)), np.empty(m), np.empty(m, dtype=np.intp))
+            self._scratch.codes = scratch
+        rows, exact, codes = (buf[:m] for buf in scratch)
+        if actions.dtype != np.float64:
+            np.copyto(rows, actions, casting="unsafe")
+            actions = rows
+        np.matmul(actions, radix, out=exact)
+        np.copyto(codes, exact, casting="unsafe")
+        return codes
 
     def _operands(self, m: int):
         """The operands of an m-row chunk, with (., rows, n) tiles, rows >= m.

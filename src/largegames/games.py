@@ -19,12 +19,14 @@ exceptions, all in ``LinearInfluenceGame``'s batch evaluation:
   from the immutable fields and published by a single attribute assignment,
   so two threads that race there build equal arrays twice and each computes
   with its own;
-- its payoff table, when the game has k^n <= ``BATCH_ROWS`` pure
+- its payoff table, when the game has k^n <= ``TABLE_PROFILES`` (2^16) pure
   profiles: every profile's payoffs, built by the first batch of two or
-  more rows with one kernel call and published like the operand cache;
-- the k > 2 kernel's scratch buffers (mask, product, index), at most one
-  chunk high and held per thread in a ``threading.local``, so each thread
-  writes only its own.
+  more rows in slices of at most ``BATCH_ROWS // 8`` profiles, one kernel
+  call each, and published like the operand cache.  On such a game the
+  operands and scratch stay one slice high;
+- its per-thread buffers in a ``threading.local``, so each thread writes
+  only its own: the profile codes of a table lookup, and the k > 2
+  kernel's scratch (mask, product, index), at most one chunk high.
 """
 
 from __future__ import annotations

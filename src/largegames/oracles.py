@@ -165,9 +165,10 @@ class OracleSession:
 
     def _chunk_buffers(self):
         """One sampling chunk's arrays, built by the first estimate: uniforms,
-        (k - 1, chunk, n) threshold tiles and payoffs, and for k > 2 the int8
-        actions, the comparison mask, and the cell offsets i k and flat cell
-        index of the reduction (None for k = 2)."""
+        (k - 1, chunk, n) threshold tiles and payoffs, and for k > 2 the actions
+        (int8 up to k = 128, the smallest signed type that holds k - 1), the
+        comparison mask, and the cell offsets i k and flat cell index of the
+        reduction (None for k = 2)."""
         if self._buffers is not None:
             return self._buffers
         n, k = self.game.n, self.game.k
@@ -178,8 +179,8 @@ class OracleSession:
         else:
             offsets = np.empty(shape, dtype=np.intp)
             offsets[...] = np.arange(0, n * k, k)
-            buffers += (np.empty(shape, dtype=np.int8), np.empty(shape, dtype=np.bool_),
-                        offsets, np.empty(shape, dtype=np.intp))
+            buffers += (np.empty(shape, dtype=np.min_scalar_type(-k)),
+                        np.empty(shape, dtype=np.bool_), offsets, np.empty(shape, dtype=np.intp))
         self._buffers = buffers
         return buffers
 

@@ -493,6 +493,14 @@ def test_scripted_trajectory_reads_the_own_row():
         assert np.array_equal(probs[:, 1:], other[:, 1:])
 
 
+def test_curve_holds_a_player_above_the_line():
+    # D falls from 0.3 to 0.1 at p = 0.9, so p* = 0.9 sits above line + step =
+    # 0.55 + 0.05 and the player holds; tracking alone would give 0.9 - 0.2 / 2
+    tables = np.array([[[0.3, 0.6]], [[0.4, 0.5]]])
+    probs, _ = _scripted_trajectory(_curve_rule(1.0, 0.05), np.array([0.9]), tables)
+    assert np.array_equal(probs[:, 0], [0.9, 0.9])
+
+
 # ---------------------------------------------------------------------------
 # profiles are checked where they enter and built once per run, not per round
 

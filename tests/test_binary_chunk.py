@@ -20,7 +20,7 @@ import pytest
 
 import largegames as lg
 from largegames import oracles
-from largegames.families import LinearInfluenceGame
+from largegames.families import TABLE_PROFILES, LinearInfluenceGame
 from largegames.games import BATCH_ROWS, IndependentGame, TensorGame
 from references import linear_payoffs, reference_reduce
 
@@ -224,33 +224,36 @@ def test_trace_lines_carry_integer_profiles(monkeypatch, tmp_path):
 
 
 def test_constant_tiles_follow_the_batch_height():
-    # n = 13 has 8192 pure profiles, too many for a payoff table
-    game = lg.gen_linear_influence(13, 2, 1.0, seed=3)
+    # n = 17 has 131072 pure profiles, too many for a payoff table
+    game = lg.gen_linear_influence(17, 2, 1.0, seed=3)
     assert game._operand_cache is None  # exact-only games never build them
-    game.mixed_payoff_table(lg.MixedProfile.uniform(13).probs)
+    game.mixed_payoff_table(lg.MixedProfile.uniform(17).probs)
     assert game._operand_cache is None
     rng = np.random.default_rng(5)
     for rows in (1, 17, 4096, 5000):
-        a = rng.integers(0, 2, size=(rows, 13)).astype(np.int8)
-        fresh = lg.gen_linear_influence(13, 2, 1.0, seed=3)
+        a = rng.integers(0, 2, size=(rows, 17)).astype(np.int8)
+        fresh = lg.gen_linear_influence(17, 2, 1.0, seed=3)
         got = game.payoffs_batch(a.astype(np.float64))
         assert np.array_equal(got, fresh.payoffs_batch(a.astype(np.float64)))
-        assert np.array_equal(got, linear_payoffs(game, a))
+        # at n = 17 a row's bits depend on the GEMM height: one GEMM per chunk
+        want = [linear_payoffs(game, a[lo:lo + BATCH_ROWS]) for lo in range(0, rows, BATCH_ROWS)]
+        assert np.array_equal(got, np.concatenate(want))
         d, tiles = game._operand_cache
         # taller batches than a sampling chunk are combined in chunk-high blocks
-        assert tiles.shape == (4, min(rows, BATCH_ROWS), 13)
+        assert tiles.shape == (4, min(rows, BATCH_ROWS), 17)
     assert game._table is None
     assert not d.flags.writeable and not tiles.flags.writeable
 
 
 def test_threads_sharing_a_fresh_game_reproduce_sequential_payoffs():
-    # n = 7 races the payoff table's build; n = 13 (k = 2) the constant tiles and
-    # n = 8 (k = 3) also the per-thread scratch, as those games have no table
+    # n = 7 and (k = 3) n = 8 race the payoff table's sliced build; n = 17 (k = 2)
+    # the constant tiles and n = 11 (k = 3) also the per-thread scratch, as those
+    # games have no table
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, mid-kernel
     try:
-        for k, n, dtype in ((2, 7, np.float64), (3, 7, np.int8),
-                            (2, 13, np.float64), (3, 8, np.int8)):
+        for k, n, dtype in ((2, 7, np.float64), (3, 8, np.int8),
+                            (2, 17, np.float64), (3, 11, np.int8)):
             rng = np.random.default_rng(8)
             batches = [rng.integers(0, k, size=(rows, n)).astype(dtype)
                        for rows in (4096, 1, 5000, 17, 4096, 300, 8192, 2)]
@@ -261,14 +264,14 @@ def test_threads_sharing_a_fresh_game_reproduce_sequential_payoffs():
                 with ThreadPoolExecutor(max_workers=4) as pool:
                     got = list(pool.map(game.payoffs_batch, batches, timeout=60))
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
-                assert (game._table is None) == (k ** n > BATCH_ROWS)
+                assert (game._table is None) == (k ** n > TABLE_PROFILES)
     finally:
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(2, 17))
 def test_payoff_table_answers_equal_the_reference(n):
-    # every binary game with 2^n <= BATCH_ROWS profiles answers from its table
+    # every binary game with 2^n <= TABLE_PROFILES profiles answers from its table
     game = lg.gen_linear_influence(n, 2, 1.0, seed=n)
     rng = np.random.default_rng(n)
     for rows in (1, 2, 3, 5, 17, 100, 4095, 4096, 5000):
@@ -277,6 +280,20 @@ def test_payoff_table_answers_equal_the_reference(n):
         for dtype in (np.float64, np.int8, np.int64):
             assert np.array_equal(game.payoffs_batch(a.astype(dtype)), want)
     assert game._table[0].shape == (2 ** n, n)
+
+
+@pytest.mark.parametrize("n", range(13, 17))
+def test_table_rows_equal_rows_of_a_full_chunk(n):
+    # the bit-identity scan behind TABLE_PROFILES: a table row, computed in a
+    # slice of at most BATCH_ROWS // 8 profiles, has the bits of the same row
+    # inside a full sampling chunk and inside the partial last chunks
+    game = lg.gen_linear_influence(n, 2, 1.0, seed=n)
+    a = np.random.default_rng(n).integers(0, 2, size=(BATCH_ROWS, n)).astype(np.float64)
+    want = np.empty((BATCH_ROWS, n))
+    game._chunk_payoffs(a, want)
+    for rows in (2, 3, 17, 256, 512, 1745, 4095):
+        assert np.array_equal(game.payoffs_batch(a[:rows]), want[:rows])
+    assert game._table is not None
 
 
 def test_a_one_row_batch_stays_on_the_kernel():
@@ -290,16 +307,29 @@ def test_a_one_row_batch_stays_on_the_kernel():
     assert np.array_equal(game.payoffs_batch(a), linear_payoffs(game, a))
 
 
-@pytest.mark.parametrize("n", (12, 13))
-def test_the_table_covers_at_most_one_chunk_of_profiles(n):
+@pytest.mark.parametrize("n", (16, 17))
+def test_the_table_covers_at_most_table_profiles(n):
     game = lg.gen_linear_influence(n, 2, 1.0, seed=0)
     a = np.random.default_rng(0).integers(0, 2, size=(17, n)).astype(np.int8)
     assert np.array_equal(game.payoffs_batch(a), linear_payoffs(game, a))
-    if n == 12:
+    if n == 16:
         table, _ = game._table
-        assert table.shape == (BATCH_ROWS, 12) and not table.flags.writeable
+        assert table.shape == (TABLE_PROFILES, 16) and not table.flags.writeable
     else:
         assert game._table is None
+
+
+@pytest.mark.parametrize("n", (7, 12, 16))
+def test_a_table_build_leaves_operands_one_slice_high(n):
+    # the table is built BATCH_ROWS // 8 profiles at a time, so the constant
+    # tiles a later one-row batch reads are no taller than one slice
+    game = lg.gen_linear_influence(n, 2, 1.0, seed=0)
+    a = np.random.default_rng(0).integers(0, 2, size=(2, n)).astype(np.int8)
+    game.payoffs_batch(a)
+    _, tiles = game._operand_cache
+    assert tiles.shape == (4, min(2 ** n, BATCH_ROWS // 8), n)
+    assert np.array_equal(game.payoffs_batch(a[:1]), linear_payoffs(game, a[:1]))
+    assert game._operand_cache[1] is tiles
 
 
 def test_traced_rows_equal_the_pure_queries_of_a_sampled_run(monkeypatch):

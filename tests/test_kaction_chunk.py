@@ -15,6 +15,8 @@ import pytest
 
 import largegames as lg
 from largegames import oracles
+from largegames.families import TABLE_PROFILES
+from largegames.games import BATCH_ROWS
 from references import linear_payoffs, reference_reduce
 
 KS = (2, 3, 4, 5, 6, 7)
@@ -23,7 +25,8 @@ CHUNKS = (1, 17, 4096)
 
 
 def mask_draw(u, cdf):
-    return (u[:, :, None] > cdf[None, :, :-1]).sum(axis=2).astype(np.int8)
+    draws = (u[:, :, None] > cdf[None, :, :-1]).sum(axis=2)
+    return draws.astype(np.int8) if cdf.shape[1] <= 128 else draws
 
 
 def mask_payoffs(game, actions):
@@ -115,29 +118,65 @@ def test_payoffs_batch_matches_mask_reference(k, n, dtype):
     assert np.array_equal(game.payoffs_batch(actions), mask_payoffs(game, actions))
 
 
-TABLE_GAMES = [(k, n) for k in range(3, 9) for n in range(2, 13) if k ** n <= 4096]
+TABLE_GAMES = ([(k, n) for k in range(3, 9) for n in range(2, 17) if k ** n <= TABLE_PROFILES]
+               + [(16, 4), (40, 3), (129, 2), (130, 2)])
 
 
 @pytest.mark.parametrize("k,n", TABLE_GAMES)
 def test_payoff_table_answers_equal_the_mask_reference(k, n):
-    # every game with k^n <= BATCH_ROWS profiles answers batches of two or
+    # every game with k^n <= TABLE_PROFILES profiles answers batches of two or
     # more rows from its table, and one-row batches from the kernel
     game = lg.gen_linear_influence(n, k, 1.0, seed=10 * n + k)
     rng = np.random.default_rng(n)
-    for rows in (1, 2, 3, 5, 17, 100, 4095, 4096, 5000):
-        actions = rng.integers(0, k, size=(rows, n)).astype(np.int8)
+    heights = (1, 2, 3, 5, 17, 100, 4095, 4096, 5000) if k <= 8 else (1, 2, 17, 300)
+    for rows in heights:
+        actions = rng.integers(0, k, size=(rows, n)).astype(np.int16)
         want = mask_payoffs(game, actions)
-        for dtype in (np.float64, np.int8, np.int64):
+        for dtype in (np.float64, np.int8 if k <= 128 else np.int16, np.int64):
             assert np.array_equal(game.payoffs_batch(actions.astype(dtype)), want)
     assert game._table[0].shape == (k ** n, n)
 
 
-def test_kaction_table_covers_at_most_one_chunk_of_profiles():
-    for n, tabled in ((7, True), (8, False)):  # 3^7 = 2187 and 3^8 = 6561 profiles
+# Every k > 2 shape with BATCH_ROWS < k^n <= TABLE_PROFILES and n >= 3, and the
+# smallest at n = 2.  At n = 2 each GEMM entry sums two terms, which round alike
+# in any order, so every n = 2 shape gives a row the same bits at every height.
+SCAN_GAMES = [(k, n) for n in range(3, 17) for k in range(3, 41)
+              if BATCH_ROWS < k ** n <= TABLE_PROFILES] + [(65, 2)]
+
+
+@pytest.mark.parametrize("k,n", SCAN_GAMES)
+def test_table_rows_equal_rows_of_a_full_chunk(k, n):
+    # the bit-identity scan behind TABLE_PROFILES: a table row, computed in a
+    # slice of at most BATCH_ROWS // 8 profiles, has the bits of the same row
+    # inside a full sampling chunk and inside the partial last chunks
+    game = lg.gen_linear_influence(n, k, 1.0, seed=10 * n + k)
+    actions = np.random.default_rng(n).integers(0, k, size=(BATCH_ROWS, n))
+    want = np.empty((BATCH_ROWS, n))
+    game._chunk_payoffs(actions, want)
+    for rows in (2, 3, 17, 256, 512, 1745, 4095):
+        assert np.array_equal(game.payoffs_batch(actions[:rows]), want[:rows])
+    assert game._table is not None
+
+
+def test_kaction_table_covers_at_most_table_profiles():
+    for n, tabled in ((10, True), (11, False)):  # 3^10 = 59049 and 3^11 = 177147 profiles
         game = lg.gen_linear_influence(n, 3, 1.0, seed=n)
         actions = np.random.default_rng(n).integers(0, 3, size=(17, n)).astype(np.int8)
         assert np.array_equal(game.payoffs_batch(actions), mask_payoffs(game, actions))
         assert (game._table is not None) == tabled
+
+
+@pytest.mark.parametrize("k,n", ((3, 7), (3, 10)))
+def test_a_table_build_leaves_operands_and_scratch_one_slice_high(k, n):
+    # the table is built BATCH_ROWS // 8 profiles at a time, so the kernel's
+    # product offsets and this thread's scratch are no taller than one slice
+    game = lg.gen_linear_influence(n, k, 1.0, seed=0)
+    actions = np.random.default_rng(0).integers(0, k, size=(2, n)).astype(np.int8)
+    game.payoffs_batch(actions)
+    height = min(k ** n, BATCH_ROWS // 8)
+    assert game._operand_cache[1].shape == (2, height, n)
+    assert [buf.shape[0] for buf in game._scratch.kaction] == [height] * 3
+    assert np.array_equal(game.payoffs_batch(actions[:1]), mask_payoffs(game, actions[:1]))
 
 
 @pytest.mark.parametrize("rows", CHUNKS)
@@ -179,6 +218,23 @@ def test_whole_estimate_with_partial_last_chunk_matches_mask_reference():
     assert np.array_equal(est.counts, ref_counts)
     assert np.array_equal(est.values, ref_values)
     assert np.all(est.counts.sum(axis=1) == est.samples)
+
+
+@pytest.mark.parametrize("k", (129, 130))
+def test_actions_past_int8_are_drawn_answered_and_reduced(monkeypatch, k):
+    # k - 1 > 127 does not fit the int8 rows that smaller k are drawn into
+    rows = 300
+    monkeypatch.setattr(oracles, "kaction_sample_count", lambda *args: rows)
+    game = lg.gen_linear_influence(2, k, 1.0, seed=k)
+    profile = random_profile(2, k, seed=k)
+    est, chunks = recorded_estimate(game, profile, 0.3, 7, 128)
+    ref_chunks, ref_counts, ref_values = reference_estimate(game, profile, 0.3, 7, rows, 128)
+    for (a, u), (ref_a, ref_u) in zip(chunks, ref_chunks, strict=True):
+        assert a.min() >= 0 and a.max() < k
+        assert np.array_equal(a, ref_a) and np.array_equal(u, ref_u)
+    assert np.all(est.counts.sum(axis=1) == rows)
+    assert np.array_equal(est.counts, ref_counts)
+    assert np.array_equal(est.values, ref_values)
 
 
 def chunk_buffers(session):

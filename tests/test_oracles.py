@@ -145,6 +145,20 @@ def test_estimate_tracks_blended_profile():
     assert np.abs(est.values - exact).max() <= 0.1
 
 
+@pytest.mark.parametrize("k", (2, 3))
+def test_the_blend_samples_every_action_of_a_pure_profile(k):
+    # without the beta-blend the actions a pure profile leaves out are never drawn
+    n, beta = 6, 0.3
+    game = lg.gen_linear_influence(n, k, 1.0, seed=k)
+    probs = np.zeros((n, k))
+    probs[np.arange(n), np.arange(n) % k] = 1.0
+    session = lg.OracleSession(game, seed=5)
+    sample = session.sample_mixed_binary if k == 2 else session.sample_mixed_kaction
+    est = sample(probs, beta, 0.1)
+    assert np.all(est.counts > 0)
+    assert np.abs(est.values - game.mixed_payoff_table(est.p_prime)).max() <= beta
+
+
 def test_unobserved_cells_are_zero():
     g = small_game()
     sess = lg.OracleSession(g, seed=0)
