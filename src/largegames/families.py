@@ -55,7 +55,7 @@ class LinearInfluenceGame(Game):
     of two or more rows from a read-only (k^n, n) table of all their payoffs,
     looked up by each row's profile code.  The first such batch builds it in
     slices of at most ``BATCH_ROWS // 8`` profiles, one kernel call each, so
-    the kernel's operands and scratch never grow past one slice.  At these
+    the temporaries each call allocates never grow past one slice.  At these
     sizes a GEMM gives a row the same bits at every height of two or more rows
     (checked with OpenBLAS at one and two threads), so the table answers equal
     the kernel's.  One-row batches, which numpy computes as a GEMV with other
@@ -84,11 +84,9 @@ class LinearInfluenceGame(Game):
         self.c = _check_budget(c)
         self.mu = min(1.0, self.c * (n - 1) / n)
         self._scaled_base = _readonly((1.0 - self.mu) * base)  # the own-action term
-        # action-0 row sums: the batch path adds per-action differences to them
-        self._batch_zero = _readonly(w[0].sum(axis=0))
-        self._operand_cache = None  # batch operands, built by the first batch
+        self._batch_zero = _readonly(w[0].sum(axis=0))  # action-0 row sums, for the kernel
         self._table = None  # every profile's payoffs and code radix, when k^n <= TABLE_PROFILES
-        self._scratch = threading.local()  # per-thread code and k > 2 batch buffers
+        self._scratch = threading.local()  # per-thread profile code buffers
 
     @property
     def weights(self) -> np.ndarray:
@@ -112,57 +110,48 @@ class LinearInfluenceGame(Game):
         and thread split by shape, so a row's low bits depend on the GEMM it is in;
         the pinned estimates were recorded one GEMM per sampling chunk, and a bias
         column or a finer split of the rows may change them."""
-        n, k, m = self.n, self.k, actions.shape[0]
+        n, k, w, scale = self.n, self.k, self._w, self.mu / (self.n - 1)
         if k == 2:
             x = np.asarray(actions, dtype=np.float64)  # float 0/1 rows pass without a copy
             # g_j[s, i] = sum_l w[i, l, j, a_sl]; d[j, l, i] = w[i, l, j, 1] - w[i, l, j, 0]
-            d, tiles = self._operands(m)
-            g0, g1, b0, db = tiles[:, :m]
-            np.matmul(x, d[0], out=out)
-            tmp = x @ d[1]
+            d = np.ascontiguousarray((w[1] - w[0]).transpose(2, 0, 1))
+            (g0, g1), (b0, b1) = self._batch_zero.T, self.base.T
             # in place: mu / (n - 1) (g0 + x (g1 - g0)) + (1 - mu) (b0 + x (b1 - b0))
+            np.matmul(x, d[0], out=out)
             out += g0
-            tmp += g1
-            tmp -= out
-            tmp *= x
-            out += tmp
-            out *= self.mu / (n - 1)
+            part = x @ d[1]
+            part += g1
+            part -= out
+            part *= x
+            out += part
+            out *= scale
             # x is 0 or 1, so x (b1 - b0) + b0 is exactly b0 or b0 + (b1 - b0)
-            base = np.multiply(x, db, out=tmp)
-            base += b0
-            base *= 1.0 - self.mu
-            out += base
+            np.multiply(x, b1 - b0, out=part)
+            part += b0
+            part *= 1.0 - self.mu
+            out += part
             return
         # received[s, i, j] = sum_l w[i, l, j, a_sl] - w[i, l, j, 0] sums one (m, n k)
-        # GEMM per action b > 0.  Only the entries (s, i, a_si) are read, at flat
-        # indices s n k + i k + a_si; adding them in b order equals summing the whole
-        # products first.  Every buffer is reused: with products allocated per call,
-        # malloc returns their pages to the system and page-faults them in again.
-        # The gathers run in clip mode, which writes straight into its output (raise
-        # mode copies it first); actions are checked against [0, k) where they enter.
-        d, tiles, base = self._operands(m)
-        x, prod, idx = self._kaction_scratch(m)
-        np.copyto(idx, actions, casting="unsafe")  # a cast copy (float rows too), then an add
-        idx += tiles[0, :m]
-        for b in range(1, k):
-            np.equal(actions, b, out=x)
-            np.matmul(x, d[b - 1], out=prod)
-            if b == 1:
-                np.take(prod, idx, out=out, mode="clip")
-            else:
-                out += np.take(prod, idx, out=x, mode="clip")
-        idx -= tiles[1, :m]  # i k + a_si: cell (i, a_si) of the (n, k) arrays
-        out += np.take(self._batch_zero, idx, out=x, mode="clip")
-        out *= self.mu / (n - 1)
-        out += np.take(base, idx, out=x, mode="clip")
+        # GEMM of the masks (a_sl = b) with w[b] - w[0] per action b > 0.  Row s reads
+        # only its cells (i, a_si), flat index s n k + i k + a_si, gathered in b order.
+        d = (w[1:] - w[0]).reshape(k - 1, n, n * k)
+        cell = actions.astype(np.intp) + np.arange(0, n * k, k)  # i k + a_si, float rows too
+        flat = cell + np.arange(0, cell.size * k, n * k)[:, None]
+        x = np.empty(actions.shape)
+        own = np.take(np.matmul(np.equal(actions, 1, out=x), d[0]), flat)
+        for b in range(2, k):
+            own += np.take(np.matmul(np.equal(actions, b, out=x), d[b - 1]), flat)
+        own += np.take(self._batch_zero, cell)
+        np.multiply(own, scale, out=out)
+        out += np.take(self._scaled_base, cell)
 
     def _profile_table(self):
         """The (k^n, n) payoffs of every pure profile, row c for the profile whose
         C-order code (base-k digits, player 0 first) is c, and the float radix
         vector of those codes.  ``_chunk_payoffs`` computes the payoffs
         ``BATCH_ROWS // 8`` profiles at a time, so they are not counted as
-        queries and the kernel's operands and scratch stay one slice high; they
-        are read-only and published in one assignment, like the operand cache."""
+        queries and the kernel's temporaries stay one slice high.  They are
+        read-only and published in one assignment (see the ``games`` module)."""
         cached = self._table
         if cached is None:
             n, k, height = self.n, self.k, BATCH_ROWS // 8
@@ -193,53 +182,6 @@ class LinearInfluenceGame(Game):
         np.matmul(actions, radix, out=exact)
         np.copyto(codes, exact, casting="unsafe")
         return codes
-
-    def _operands(self, m: int):
-        """The operands of an m-row chunk, with (., rows, n) tiles, rows >= m.
-
-        k = 2: the contiguous GEMM operand d and tiles of g0, g1, b0 and
-        b1 - b0.  numpy runs an elementwise op that broadcasts an (n,) vector
-        over a chunk one row at a time, so the per-player constants come as
-        chunk-shaped tiles.  k > 2: the stacked GEMM operands d[b - 1] =
-        (w[b] - w[0]) as (n, n k), int tiles of the flat product offsets
-        s n k + i k and the row offsets s n k, and the scaled base flattened.
-
-        The first chunk builds them and only a taller one rebuilds them; they
-        are read-only and published in one assignment, so threads that race
-        here build equal arrays and each computes with its own.
-        """
-        ops = self._operand_cache
-        if ops is not None and ops[1].shape[1] >= m:
-            return ops
-        n, k, w = self.n, self.k, self._w
-        if k == 2:
-            tiles = np.empty((4, m, n))
-            b0, b1 = self.base[:, 0], self.base[:, 1]
-            for tile, value in zip(tiles, (*self._batch_zero.T, b0, b1 - b0)):
-                tile[...] = value
-            ops = (np.ascontiguousarray((w[1] - w[0]).transpose(2, 0, 1)), tiles)
-        else:
-            tiles = np.empty((2, m, n), dtype=np.intp)
-            tiles[1] = np.arange(0, m * n * k, n * k)[:, None]
-            np.add(tiles[1], np.arange(0, n * k, k), out=tiles[0])
-            ops = ((w[1:] - w[0]).reshape(k - 1, n, n * k), tiles, self._scaled_base.ravel())
-        for arr in ops:
-            arr.setflags(write=False)
-        self._operand_cache = ops
-        return ops
-
-    def _kaction_scratch(self, m: int):
-        """This thread's (mask, product, index) buffers for an m-row k > 2 chunk.
-
-        Each thread owns its buffers, so threads can share a game; they grow
-        to the tallest chunk the thread has seen.
-        """
-        scratch = getattr(self._scratch, "kaction", None)
-        if scratch is None or scratch[2].shape[0] < m:
-            n, k = self.n, self.k
-            scratch = (np.empty((m, n)), np.empty((m, n * k)), np.empty((m, n), dtype=np.intp))
-            self._scratch.kaction = scratch
-        return tuple(buf[:m] for buf in scratch)
 
     def mixed_payoff_table(self, probs: np.ndarray) -> np.ndarray:
         n, k = self.n, self.k
@@ -292,14 +234,19 @@ class LowerBoundGame(IndependentGame):
 
 def gen_lower_bound(n: int, ell: float, seed_for_b: int) -> StochasticGame:
     """Stochastic-utility game G_b with b drawn from the seed."""
+    if n < 1:
+        raise ValueError("need n >= 1 players")
     rng = np.random.default_rng(seed_for_b)
     bits = rng.integers(0, 2, size=n)
     return StochasticGame(LowerBoundGame(bits, ell))
 
 
-def gen_tiny_tensor(n: int, k: int, gamma: float, seed: int) -> TensorGame:
+def gen_tiny_tensor(n: int, k: int, gamma: float | None, seed: int, c: float = 1.0) -> TensorGame:
     """Uniform random tensor squeezed into a width-gamma band around 1/2,
-    so largeness holds by construction with c = gamma n."""
+    so largeness holds by construction with c = gamma n; an unset gamma is c / n."""
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 players and k >= 1 actions")
+    gamma = c / n if gamma is None else gamma
     if k ** n > 4096:
         raise ValueError("tiny tensor games require k^n <= 4096")
     if not 0.0 <= gamma <= 1.0:
@@ -319,8 +266,7 @@ def gen_tiny_tensor(n: int, k: int, gamma: float, seed: int) -> TensorGame:
 FAMILIES = {
     "linear-influence": (gen_linear_influence, {"k": (int, 2), "c": (float, 1.0)}),
     "lower-bound": (gen_lower_bound, {"ell": (float, 4.0)}),
-    "tiny-tensor": (lambda n, k, c, gamma, seed: gen_tiny_tensor(
-                        n, k, c / n if gamma is None else gamma, seed),
+    "tiny-tensor": (lambda n, k, c, gamma, seed: gen_tiny_tensor(n, k, gamma, seed, c),
                     {"k": (int, 2), "c": (float, 1.0), "gamma": (float, None)}),
 }
 

@@ -10,23 +10,17 @@ games, and the verifiers (``regret_report`` for regret, discrepancy and
 well-supported slack, ``check_largeness``) that grade every algorithm.
 
 All types are immutable after construction and every operation is pure,
-so values can be shared freely across threads.  There are three
-exceptions, all in ``LinearInfluenceGame``'s batch evaluation:
+so values can be shared freely across threads, with two exceptions in
+``LinearInfluenceGame`` (whose batch kernel makes its operands and
+temporaries per call, at most one chunk of ``BATCH_ROWS`` rows high):
 
-- its one operand cache, which the first batch builds: the GEMM operands
-  and constant tiles at most one chunk (``BATCH_ROWS`` rows) high (and for
-  k > 2 the scaled base payoffs).  The arrays are read-only, computed only
-  from the immutable fields and published by a single attribute assignment,
-  so two threads that race there build equal arrays twice and each computes
-  with its own;
 - its payoff table, when the game has k^n <= ``TABLE_PROFILES`` (2^16) pure
   profiles: every profile's payoffs, built by the first batch of two or
-  more rows in slices of at most ``BATCH_ROWS // 8`` profiles, one kernel
-  call each, and published like the operand cache.  On such a game the
-  operands and scratch stay one slice high;
-- its per-thread buffers in a ``threading.local``, so each thread writes
-  only its own: the profile codes of a table lookup, and the k > 2
-  kernel's scratch (mask, product, index), at most one chunk high.
+  more rows in slices of at most ``BATCH_ROWS // 8`` profiles.  It is
+  read-only, computed only from the immutable fields and published by one
+  assignment, so racing threads build equal tables, each reading its own;
+- its per-thread buffers for the profile codes of a table lookup, in a
+  ``threading.local``, so each thread writes only its own.
 """
 
 from __future__ import annotations

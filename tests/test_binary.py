@@ -493,6 +493,15 @@ def test_scripted_trajectory_reads_the_own_row():
         assert np.array_equal(probs[:, 1:], other[:, 1:])
 
 
+def test_plane_tracks_a_player_on_the_plane():
+    # p = 0.6 starts on the plane of v1 - v0 = 0.2, and the gap grows by 0.2 a
+    # round, so tracking moves p by 0.1 a round and keeps it on the plane
+    tables = np.array([[[0.5, 0.5]], [[0.4, 0.6]], [[0.3, 0.7]]])
+    probs, resids = _scripted_trajectory(_plane_rule(0.05), np.array([0.6]), tables)
+    assert probs[:, 0] == pytest.approx([0.6, 0.7, 0.8])
+    assert resids[:, 0] == pytest.approx([0.0, 0.0])
+
+
 def test_curve_holds_a_player_above_the_line():
     # D falls from 0.3 to 0.1 at p = 0.9, so p* = 0.9 sits above line + step =
     # 0.55 + 0.05 and the player holds; tracking alone would give 0.9 - 0.2 / 2

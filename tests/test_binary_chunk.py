@@ -5,9 +5,8 @@ binary sampling chunk: the draw cast its comparisons to int8, the k = 2
 ``LinearInfluenceGame.payoffs_batch`` converted those rows to float and
 kept its temporaries apart, the other games indexed with the int8 rows,
 and the reduction summed over axis 0.  The fast code draws 0.0/1.0 rows
-into session buffers, evaluates in place against chunk-shaped constants
-and reduces with einsum and a GEMV; it must agree with the references bit
-for bit.
+into session buffers, evaluates them in place and reduces with einsum and
+a GEMV; it must agree with the references bit for bit.
 """
 
 import json
@@ -223,12 +222,9 @@ def test_trace_lines_carry_integer_profiles(monkeypatch, tmp_path):
         assert rec["payoffs"] == u.tolist()
 
 
-def test_constant_tiles_follow_the_batch_height():
+def test_kernel_bits_follow_the_batch_height():
     # n = 17 has 131072 pure profiles, too many for a payoff table
     game = lg.gen_linear_influence(17, 2, 1.0, seed=3)
-    assert game._operand_cache is None  # exact-only games never build them
-    game.mixed_payoff_table(lg.MixedProfile.uniform(17).probs)
-    assert game._operand_cache is None
     rng = np.random.default_rng(5)
     for rows in (1, 17, 4096, 5000):
         a = rng.integers(0, 2, size=(rows, 17)).astype(np.int8)
@@ -238,17 +234,12 @@ def test_constant_tiles_follow_the_batch_height():
         # at n = 17 a row's bits depend on the GEMM height: one GEMM per chunk
         want = [linear_payoffs(game, a[lo:lo + BATCH_ROWS]) for lo in range(0, rows, BATCH_ROWS)]
         assert np.array_equal(got, np.concatenate(want))
-        d, tiles = game._operand_cache
-        # taller batches than a sampling chunk are combined in chunk-high blocks
-        assert tiles.shape == (4, min(rows, BATCH_ROWS), 17)
     assert game._table is None
-    assert not d.flags.writeable and not tiles.flags.writeable
 
 
 def test_threads_sharing_a_fresh_game_reproduce_sequential_payoffs():
     # n = 7 and (k = 3) n = 8 race the payoff table's sliced build; n = 17 (k = 2)
-    # the constant tiles and n = 11 (k = 3) also the per-thread scratch, as those
-    # games have no table
+    # and n = 11 (k = 3) the kernel, as those games have no table
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, mid-kernel
     try:
@@ -321,15 +312,23 @@ def test_the_table_covers_at_most_table_profiles(n):
 
 @pytest.mark.parametrize("n", (7, 12, 16))
 def test_a_table_build_leaves_operands_one_slice_high(n):
-    # the table is built BATCH_ROWS // 8 profiles at a time, so the constant
-    # tiles a later one-row batch reads are no taller than one slice
+    # the table is built BATCH_ROWS // 8 profiles at a time, so afterwards the
+    # game holds no other array a slice high, and the build's peak beyond the
+    # table stays within a few (slice, n k) float arrays
     game = lg.gen_linear_influence(n, 2, 1.0, seed=0)
     a = np.random.default_rng(0).integers(0, 2, size=(2, n)).astype(np.int8)
-    game.payoffs_batch(a)
-    _, tiles = game._operand_cache
-    assert tiles.shape == (4, min(2 ** n, BATCH_ROWS // 8), n)
+    height = min(2 ** n, BATCH_ROWS // 8)
+    tracemalloc.start()
+    try:
+        game.payoffs_batch(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = [value for key, value in vars(game).items() if key != "_table"]
+    held += [buf for bufs in vars(game._scratch).values() for buf in bufs]
+    assert all(max(arr.shape) < height for arr in held if isinstance(arr, np.ndarray))
+    assert peak - game._table[0].nbytes < 6 * height * n * 2 * 8
     assert np.array_equal(game.payoffs_batch(a[:1]), linear_payoffs(game, a[:1]))
-    assert game._operand_cache[1] is tiles
 
 
 def test_traced_rows_equal_the_pure_queries_of_a_sampled_run(monkeypatch):

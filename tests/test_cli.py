@@ -408,6 +408,15 @@ DOWNSAMPLE_UNREAD = ("--downsample needs --out and an algorithm that writes a tr
      "algorithm 'one-step' does not read --eta"),
     (["sweep", "--algo", "plane", "--beta", "0.2", "--c", ""], None,
      "oracle 'exact' does not read --beta"),
+    # degenerate family sizes are refused before the game is built
+    (["run", "--family", "tiny-tensor", "--n", "0", "--algo", "uniform"], None,
+     "need n >= 1 players and k >= 1 actions"),
+    (["run", "--family", "tiny-tensor", "--n", "2", "--k", "0", "--algo", "uniform"], None,
+     "need n >= 1 players and k >= 1 actions"),
+    (["run", "--family", "lower-bound", "--n", "0", "--algo", "uniform"], None,
+     "need n >= 1 players"),
+    (["run", "--family", "lower-bound", "--n", "-3", "--algo", "uniform"], None,
+     "need n >= 1 players"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, argv, threads, message):
     if threads is not None:

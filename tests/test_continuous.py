@@ -92,6 +92,30 @@ def test_curve_flow_speed_limit():
     assert np.abs(np.diff(tr.p, axis=0)).max() <= H + 1e-15
 
 
+class ScriptedDiscrepancy:
+    """A one-player binary game whose exact table follows the flow's clock: the
+    discrepancy D = v1 - v0 is 1 until t = 0.4, then falls at 10 per unit time
+    to 0.1."""
+
+    n, k, c = 1, 2, 1.0
+
+    def __init__(self, step_h):
+        self.step_h, self.calls = step_h, 0
+
+    def mixed_payoff_table(self, probs):
+        t = self.calls * self.step_h  # the flow asks once per step, from t = 0
+        self.calls += 1
+        return np.array([[0.0, max(0.1, 1.0 - 10.0 * max(0.0, t - 0.4))]])
+
+
+def test_curve_flow_holds_a_player_above_the_line():
+    # the player climbs to p = 0.9 while p* sits on 1, then the line 1/2 + D/2
+    # falls below it and p* holds; tracking the fall of D alone would end at 0.84
+    tr = lg.simulate_curve_flow(ScriptedDiscrepancy(1e-2), c=1.0, step_h=1e-2, horizon=1.0)
+    assert tr.p[40, 0] == pytest.approx(0.9)
+    assert tr.p[-1, 0] == pytest.approx(0.92)
+
+
 def test_trajectory_csv(tmp_path):
     g = lg.gen_linear_influence(4, 2, 1.0, seed=0)
     tr = lg.simulate_plane_flow(g, 0.01, 0.05)

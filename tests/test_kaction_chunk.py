@@ -168,14 +168,22 @@ def test_kaction_table_covers_at_most_table_profiles():
 
 @pytest.mark.parametrize("k,n", ((3, 7), (3, 10)))
 def test_a_table_build_leaves_operands_and_scratch_one_slice_high(k, n):
-    # the table is built BATCH_ROWS // 8 profiles at a time, so the kernel's
-    # product offsets and this thread's scratch are no taller than one slice
+    # the table is built BATCH_ROWS // 8 profiles at a time, so afterwards the
+    # game holds no other array a slice high, and the build's peak beyond the
+    # table stays within a few (slice, n k) float arrays
     game = lg.gen_linear_influence(n, k, 1.0, seed=0)
     actions = np.random.default_rng(0).integers(0, k, size=(2, n)).astype(np.int8)
-    game.payoffs_batch(actions)
     height = min(k ** n, BATCH_ROWS // 8)
-    assert game._operand_cache[1].shape == (2, height, n)
-    assert [buf.shape[0] for buf in game._scratch.kaction] == [height] * 3
+    tracemalloc.start()
+    try:
+        game.payoffs_batch(actions)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = [value for key, value in vars(game).items() if key != "_table"]
+    held += [buf for bufs in vars(game._scratch).values() for buf in bufs]
+    assert all(max(arr.shape) < height for arr in held if isinstance(arr, np.ndarray))
+    assert peak - game._table[0].nbytes < 6 * height * n * k * 8
     assert np.array_equal(game.payoffs_batch(actions[:1]), mask_payoffs(game, actions[:1]))
 
 
@@ -247,10 +255,8 @@ def test_session_reuses_its_buffers_across_estimates(k):
     session = lg.OracleSession(game, seed=0)
     first = session.sample_mixed_kaction(lg.MixedProfile.uniform(6, k).probs, 0.5, 0.5)
     buffers = chunk_buffers(session)
-    consts = game._operand_cache
     second = session.sample_mixed_kaction(random_profile(6, k, seed=2).probs, 0.5, 0.5)
     assert all(a is b for a, b in zip(chunk_buffers(session), buffers))
-    assert game._operand_cache is consts
     # estimates hold their own arrays, not views of the buffers
     assert not any(np.shares_memory(arr, buf) for buf in buffers
                    for est in (first, second) for arr in (est.values, est.counts, est.p_prime))
