@@ -6,9 +6,9 @@ profile on a game).  Outputs are byte-deterministic for fixed arguments
 and seeds; the env var LGL_THREADS caps seed-level parallelism.
 
 Exit codes: 0 success; 1 a graded failure (``verify`` found regret above
-eps); 2 a usage or input error, such as a missing input file, reported as
-one line ``error: <message>`` on stderr; 3 a run that violated its
-declared bound.
+eps); 2 a usage or input error, such as a missing input file or a game too
+big to allocate, reported as one line ``error: <message>`` on stderr; 3 a
+run that violated its declared bound.
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seeds")
     run.add_argument("--out")
     run.add_argument("--trace",
-                     help="JSON-lines query trace path; '{seed}' expands per seed")
+                     help="one JSON line per sampled estimate; '{seed}' expands per seed")
     run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="grid of runs to CSV")
@@ -289,8 +289,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # bad input, a file error or a game too big
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -98,7 +98,9 @@ class OracleSession:
     each call.  Distinct sessions with distinct seeds are independent.
     Mixed estimates take the (n, k) probability array itself; its shape is
     checked, its values are trusted (``MixedProfile`` checks them where a
-    profile enters).
+    profile enters).  With ``trace_path``, each sampled estimate (not
+    ``query_pure``) writes one JSON line: its first query, samples, beta,
+    delta, p', counts, sums and max |estimate - exact| over observed cells.
     """
 
     def __init__(self, game: Game, seed: int = 0, trace_path=None):
@@ -127,11 +129,6 @@ class OracleSession:
         rows, into ``out`` if given."""
         payoffs = self.game.sample_payoffs_batch(actions, self.rng, out=out)
         self.pure_queries += actions.shape[0]
-        if self._trace is not None:
-            start = self.pure_queries - actions.shape[0]
-            for off, (a, u) in enumerate(zip(actions.astype(np.int64), payoffs)):
-                self._trace.write(json.dumps(
-                    {"t": start + off, "profile": a.tolist(), "payoffs": u.tolist()}) + "\n")
         return payoffs
 
     # -- sampled mixed estimates ---------------------------------------
@@ -230,6 +227,13 @@ class OracleSession:
                                     minlength=n * k).reshape(n, k)
             done += m
         values = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0)
+        if self._trace is not None:  # the game itself, so that qm_calls does not move
+            error = np.abs(values - self.game.mixed_payoff_table(p_prime))[counts > 0]
+            self._trace.write(json.dumps({
+                "first_query": self.pure_queries - n_queries, "samples": n_queries,
+                "beta": beta, "delta": delta, "p_prime": p_prime.tolist(),
+                "counts": counts.astype(np.int64).tolist(), "sums": sums.tolist(),
+                "max_error": float(error.max()) if error.size else None}) + "\n")
         return MixedEstimate(values=values, samples=n_queries, beta=beta,
                              delta=delta, p_prime=p_prime, counts=counts)
 

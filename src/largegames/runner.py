@@ -217,10 +217,10 @@ def run_one(config: ExperimentConfig, seed: int):
     """
     game = families.make_game(config.family["family"],
                               config.family.get("params", {}), seed)
+    entry = ALGOS[config.algo]
+    params = entry.read(config, game)  # before the trace file is opened
     trace = config.trace.replace("{seed}", str(seed)) if config.trace else None
     session = OracleSession(game, seed=seed, trace_path=trace)
-    entry = ALGOS[config.algo]
-    params = entry.read(config, game)
     try:
         profile, report, trajectory = entry.run(session, config, params)
     finally:

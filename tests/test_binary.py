@@ -321,6 +321,20 @@ def test_plane_dynamics_tight_at_worst_case_discrepancy():
         assert 1 / 8 - alpha <= report.max_regret <= 1 / 8 + alpha + 1e-9
 
 
+def test_the_final_march_lowers_regret_when_the_bit_stays_off():
+    # theta = 1/2 exactly, so the broadcast bit stays off and only the final
+    # 1/220 march moves the flagged (D = 1/2) players; without it plane-comm
+    # ends where plane does (0.125496)
+    values = np.array([[0.0, 0.5]] * 10 + [[0.0, 0.1]] * 10)
+    g = lg.IndependentGame(values, c=1.0)
+    params = lg.DynamicsParams(alpha=0.002)
+    _, plain = lg.plane_dynamics(lg.OracleSession(g, seed=0), params)
+    _, comm = lg.communication_dynamics(lg.OracleSession(g, seed=0), params)
+    assert comm.params["theta"] == 0.5 and comm.params["theta_bit"] is False
+    assert comm.max_regret < plain.max_regret - 0.002
+    assert comm.max_regret <= 137 / 1100 + params.alpha
+
+
 def test_communication_beats_plain_dynamics_at_worst_case():
     # every player lands bad (theta = 1), so the broadcast path must engage
     # and push regret strictly below the plain 1/8-scale outcome

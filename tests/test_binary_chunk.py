@@ -200,26 +200,33 @@ def test_stochastic_draws_into_out_match_the_former_draws(family):
     assert np.array_equal(game.sample_payoffs_batch(a, np.random.default_rng(9)), want)
 
 
-def test_trace_lines_carry_integer_profiles(monkeypatch, tmp_path):
+def test_trace_lines_record_each_estimate(monkeypatch, tmp_path):
     rows = 23
     monkeypatch.setattr(oracles, "binary_sample_count", lambda *args: rows)
     game = lg.gen_linear_influence(5, 2, 1.0, seed=1)
-    profile = random_profile(5, 4)
+    profiles = [random_profile(5, seed) for seed in (4, 5, 6)]
     path = tmp_path / "trace.jsonl"
-    session = lg.OracleSession(game, seed=3, trace_path=path)
-    session._CHUNK = 10
-    session.sample_mixed_binary(profile.probs, 0.3, 0.1)
-    session.close()
-    lines = path.read_text().splitlines()
-    chunks, _, _, _ = reference_estimate(game, profile, 0.3, 3, rows, 10)
-    want = [(a, u) for actions, payoffs in chunks for a, u in zip(actions, payoffs)]
-    assert len(lines) == rows
-    for t, (line, (a, u)) in enumerate(zip(lines, want)):
-        rec = json.loads(line)
-        assert rec["t"] == t
-        assert all(type(v) is int for v in rec["profile"])
-        assert rec["profile"] == a.tolist()
-        assert rec["payoffs"] == u.tolist()
+    traced, plain = lg.OracleSession(game, seed=3, trace_path=path), lg.OracleSession(game, seed=3)
+    traced._CHUNK = plain._CHUNK = 10
+    ests = [traced.sample_mixed_binary(profile.probs, 0.3, 0.1) for profile in profiles]
+    traced.close()
+    for profile, est in zip(profiles, ests):  # the trace leaves the random stream alone
+        untraced = plain.sample_mixed_binary(profile.probs, 0.3, 0.1)
+        assert np.array_equal(untraced.values, est.values)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(lines) == len(ests)
+    for t, (rec, est) in enumerate(zip(lines, ests)):
+        assert rec["first_query"] == t * rows and rec["samples"] == rows
+        assert (rec["beta"], rec["delta"]) == (0.3, 0.1)
+        assert rec["p_prime"] == est.p_prime.tolist()
+        assert all(type(count) is int for row in rec["counts"] for count in row)
+        counts, sums = np.array(rec["counts"]), np.array(rec["sums"])
+        assert np.array_equal(counts, est.counts)
+        values = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+        assert np.array_equal(values, est.values)  # bit for bit
+        error = np.abs(est.values - game.mixed_payoff_table(est.p_prime))[est.counts > 0]
+        assert rec["max_error"] == error.max()
+    assert traced.qm_calls == 0
 
 
 def test_kernel_bits_follow_the_batch_height():

@@ -56,7 +56,8 @@ def test_run_writes_reports_and_traces(tmp_path):
         assert report["params"]["sample_delta"] == 0.05
         assert report["qm_calls"] == 0 and report["pure_queries"] > 0
         lines = (tmp_path / f"trace_{seed}.jsonl").read_text().splitlines()
-        assert len(lines) == report["pure_queries"]  # one line per pure query
+        assert len(lines) == 1  # one line per estimate; one-step makes one
+        assert json.loads(lines[0])["samples"] == report["pure_queries"]
 
 
 def test_run_flow_writes_trajectory(tmp_path):
@@ -119,6 +120,29 @@ def test_trace_template_required_for_many_seeds():
         runner.ExperimentConfig(
             family={"family": "linear-influence", "params": {"n": 4, "k": 2, "c": 1.0}},
             algo="one-step", seeds=[0, 1], trace="one_file.jsonl")
+
+
+def test_a_refused_algo_param_leaves_no_trace_file(tmp_path):
+    path = tmp_path / "t.jsonl"
+    config = runner.ExperimentConfig(
+        family={"family": "linear-influence", "params": {"n": 6}}, algo="block-update",
+        algo_params={"blocks": "x"}, oracle="sampling", trace=str(path), seeds=[0])
+    with pytest.raises(ValueError):
+        runner.run_one(config, 0)
+    assert not path.exists()
+
+
+def test_traces_are_byte_identical_across_thread_caps_and_reruns(monkeypatch, tmp_path):
+    traces = []
+    for run, threads in enumerate(("1", "2", "2")):
+        monkeypatch.setenv("LGL_THREADS", threads)
+        template = tmp_path / f"run{run}_{{seed}}.jsonl"
+        assert main(["run", "--algo", "block-update", "--k", "3", "--n", "6", "--blocks", "2",
+                     "--oracle", "sampling", "--beta", "0.5", "--seeds", "0:3",
+                     "--trace", str(template)]) == 0
+        traces.append([(tmp_path / f"run{run}_{seed}.jsonl").read_bytes() for seed in range(3)])
+    assert traces[0] == traces[1] == traces[2]
+    assert all(trace.count(b"\n") == 2 for trace in traces[0])  # one line per block
 
 
 def test_run_nonzero_exit_on_bound_violation(tmp_path, monkeypatch):
@@ -425,6 +449,24 @@ def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, argv, threads, m
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("message,line", [
+    ("Unable to allocate 11.9 GiB for an array", "Unable to allocate 11.9 GiB for an array"),
+    ("", "out of memory")])
+def test_a_game_too_big_to_allocate_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                                          message, line):
+    def too_big(*args):  # the builder fails as numpy does, without allocating
+        raise MemoryError(message)
+
+    _, reads = families.FAMILIES["linear-influence"]
+    monkeypatch.setitem(families.FAMILIES, "linear-influence", (too_big, reads))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--algo", "plane", "--n", "20000", "--seeds", "0:2",
+                 "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {line}\n" and captured.out == ""
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("algo", ["curve", "curve-flow"])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -271,15 +272,35 @@ def test_exact_mixed_needs_capability():
 # ---------------------------------------------------------------------------
 # tracing
 
-def test_trace_records_queries(tmp_path):
-    import json
+def test_trace_writes_one_line_per_estimate_and_none_per_pure_query(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    g = lg.gen_linear_influence(5, 3, 1.0, seed=3)
+    sess = lg.OracleSession(g, seed=0, trace_path=path)
+    sess.query_pure([0, 1, 2, 1, 0])
+    probs = lg.MixedProfile.uniform(5, 3).probs
+    ests = [sess.sample_mixed_kaction(probs, 0.5, 0.2) for _ in range(2)]
+    sess.query_pure([2, 2, 2, 2, 2])
+    sess.close()
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(lines) == 2
+    assert lines[0]["first_query"] == 1
+    assert lines[1]["first_query"] == lines[0]["first_query"] + lines[0]["samples"]
+    assert sess.pure_queries == lines[1]["first_query"] + lines[1]["samples"] + 1
+    for rec, est in zip(lines, ests):
+        assert rec["samples"] == est.samples
+        counts, sums = np.array(rec["counts"]), np.array(rec["sums"])
+        assert counts.dtype == np.int64 and np.array_equal(counts, est.counts)
+        values = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+        assert np.array_equal(values, est.values)  # bit for bit
+        error = np.abs(est.values - g.mixed_payoff_table(est.p_prime))[est.counts > 0]
+        assert rec["max_error"] == error.max() <= 0.5
+    assert sess.qm_calls == 0
 
+
+def test_pure_queries_alone_leave_an_empty_trace(tmp_path):
     path = tmp_path / "trace.jsonl"
     sess = lg.OracleSession(small_game(), seed=0, trace_path=path)
     sess.query_pure([0, 1, 0, 1, 0])
     sess.query_pure([1, 1, 1, 1, 1])
     sess.close()
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert [l["t"] for l in lines] == [0, 1]
-    assert lines[0]["profile"] == [0, 1, 0, 1, 0]
-    assert len(lines[0]["payoffs"]) == 5
+    assert sess.pure_queries == 2 and path.read_text() == ""

@@ -1,6 +1,8 @@
-"""One sampling pipeline behind both samplers, and the query budget of
-every sampled entry point."""
+"""One sampling pipeline behind both samplers, the query budget of every
+sampled entry point, and the per-estimate trace of the sampled goldens."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ import largegames as lg
 from largegames import oracles, runner
 from largegames.binary import curve_band
 from test_binary_chunk import reference_estimate as binary_reference
+from test_golden import CASES, GOLDEN, SEEDS, fingerprint
 from test_kaction_chunk import random_profile
 from test_kaction_chunk import reference_estimate as kaction_reference
 
@@ -95,3 +98,14 @@ def test_query_budget_holds_under_every_sampled_entry_point(monkeypatch, algo, f
         theta_bits.add(report.params.get("theta_bit"))
     if algo == "plane-comm":
         assert theta_bits == {family == "lower-bound"}
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if name.endswith("-sampling")])
+def test_traced_sampling_goldens_keep_their_fingerprints(tmp_path, name):
+    config = dataclasses.replace(CASES[name], trace=str(tmp_path / "t_{seed}.jsonl"))
+    assert [fingerprint(config, seed) for seed in SEEDS] == GOLDEN[name]
+    for seed, (_, pure_queries, *_) in zip(SEEDS, GOLDEN[name]):
+        records = [json.loads(line)
+                   for line in (tmp_path / f"t_{seed}.jsonl").read_text().splitlines()]
+        assert sum(rec["samples"] for rec in records) == pure_queries
+        assert all(rec["max_error"] <= rec["beta"] == config.beta for rec in records)
