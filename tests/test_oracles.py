@@ -282,7 +282,7 @@ def test_trace_writes_one_line_per_estimate_and_none_per_pure_query(tmp_path):
     sess.query_pure([2, 2, 2, 2, 2])
     sess.close()
     lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(lines) == 2
+    assert len(lines) == 2  # the two pure queries wrote none
     assert lines[0]["first_query"] == 1
     assert lines[1]["first_query"] == lines[0]["first_query"] + lines[0]["samples"]
     assert sess.pure_queries == lines[1]["first_query"] + lines[1]["samples"] + 1
@@ -295,12 +295,3 @@ def test_trace_writes_one_line_per_estimate_and_none_per_pure_query(tmp_path):
         error = np.abs(est.values - g.mixed_payoff_table(est.p_prime))[est.counts > 0]
         assert rec["max_error"] == error.max() <= 0.5
     assert sess.qm_calls == 0
-
-
-def test_pure_queries_alone_leave_an_empty_trace(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    sess = lg.OracleSession(small_game(), seed=0, trace_path=path)
-    sess.query_pure([0, 1, 0, 1, 0])
-    sess.query_pure([1, 1, 1, 1, 1])
-    sess.close()
-    assert sess.pure_queries == 2 and path.read_text() == ""
