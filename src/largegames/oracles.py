@@ -150,82 +150,82 @@ class OracleSession:
         return self._sample_estimate(n_queries, p_prime, p_one[None], np.less, beta, delta)
 
     def sample_mixed_kaction(self, probs: np.ndarray, beta: float, delta: float) -> MixedEstimate:
+        """Estimate E[u_i(j, .)] from ceil(64 k^2 / beta^3 ln(8n / delta)) pure queries
+        drawn from the blend p' = (1 - beta/2) probs + beta/(2k): player i plays the
+        number of the first k - 1 entries of p'_i's cdf below its uniform draw u.  A
+        k = 2 game is drawn by the binary producer with these thresholds."""
         n, k = self.game.n, self.game.k
         if k < 2:
             raise ValueError("need at least two actions")
         self._check_shape(probs)
         n_queries = kaction_sample_count(beta, delta, n, k)
         p_prime = blend_kaction(probs, beta)
-        # action = how many of the first k - 1 cdf entries the uniform draw exceeds
         cdf = np.cumsum(p_prime, axis=1).T[:-1]
         return self._sample_estimate(n_queries, p_prime, cdf, np.greater, beta, delta)
 
-    def _chunk_buffers(self):
+    def _chunk_buffers(self, *dtypes):
         """One sampling chunk's arrays, built by the first estimate: uniforms,
-        (k - 1, chunk, n) threshold tiles and payoffs, and for k > 2 the actions
-        (int8 up to k = 128, the smallest signed type that holds k - 1), the
-        comparison mask, and the cell offsets i k and flat cell index of the
-        reduction (None for k = 2)."""
-        if self._buffers is not None:
-            return self._buffers
-        n, k = self.game.n, self.game.k
-        shape = (self._CHUNK, n)
-        buffers = (np.empty(shape), np.empty((k - 1,) + shape), np.empty(shape))
-        if k == 2:
-            buffers += (None,) * 4
-        else:
-            offsets = np.empty(shape, dtype=np.intp)
-            offsets[...] = np.arange(0, n * k, k)
-            buffers += (np.empty(shape, dtype=np.min_scalar_type(-k)),
-                        np.empty(shape, dtype=np.bool_), offsets, np.empty(shape, dtype=np.intp))
-        self._buffers = buffers
-        return buffers
+        (k - 1, chunk, n) threshold tiles, payoffs, and a (chunk, n) array of
+        each of ``dtypes`` (the same in every call, as k fixes the producer)."""
+        if self._buffers is None:
+            shape = (self._CHUNK, self.game.n)
+            self._buffers = (np.empty(shape), np.empty((self.game.k - 1,) + shape),
+                             np.empty(shape), *(np.empty(shape, dtype) for dtype in dtypes))
+        return self._buffers
 
-    def _sample_estimate(self, n_queries, p_prime, thresholds, compare, beta,
-                         delta) -> MixedEstimate:
-        """Draw, answer and reduce ``n_queries`` pure queries chunk by chunk.
-
-        Player i's uniform draw u plays the number of rows t of the (k - 1, n)
-        ``thresholds`` for which ``compare(u, t[i])`` holds.
-        """
-        n, k = self.game.n, self.game.k
-        u, tiles, payoff_rows, int_rows, mask, offsets, index = self._chunk_buffers()
+    def _binary_sums(self, n_queries, thresholds, compare):
+        """(n, 2) counts and payoff sums of ``n_queries`` pure queries of a k = 2 game."""
+        u, tiles, payoff_rows = self._chunk_buffers()
         tiles[...] = thresholds[:, None, :]  # chunk-shaped, so no comparison broadcasts
-        counts = np.zeros((n, k))
-        sums = np.zeros((n, k))
-        if k == 2:
-            row_ones = np.ones(min(self._CHUNK, n_queries))
-        done = 0
-        while done < n_queries:
+        counts, sums = np.zeros((2, self.game.n, 2))
+        row_ones = np.ones(min(self._CHUNK, n_queries))
+        for done in range(0, n_queries, self._CHUNK):
             m = min(self._CHUNK, n_queries - done)
             x = self.rng.random(out=u[:m])
-            if k == 2:  # compared in place, leaving 0.0/1.0 actions in x
-                actions = compare(x, tiles[0, :m], out=x)
-            else:
-                actions = compare(x, tiles[0, :m], out=int_rows[:m])
-                for j in range(1, k - 1):
-                    actions += compare(x, tiles[j, :m], out=mask[:m])
+            actions = compare(x, tiles[0, :m], out=x)  # in place: 0.0/1.0 actions
             payoffs = self._pure_batch(actions, payoff_rows[:m])
-            if k == 2:
-                # einsum adds the payoff rows in the order of sum(axis=0) without
-                # its per-row inner loops.  The counts are sums of 0.0/1.0, exact in
-                # any order, so a GEMV gives them.  Both read the draws' float rows:
-                # einsum would sum int8 rows in int8.
-                ones = row_ones[:m] @ actions
-                counts[:, 1] += ones
-                counts[:, 0] += m - ones
-                paid_ones = np.einsum("sn,sn->n", payoffs, actions)
-                sums[:, 1] += paid_ones
-                sums[:, 0] += np.einsum("sn->n", payoffs) - paid_ones
-            else:
-                # flat index of cell (i, a_si); bincount adds each cell's payoffs in row order
-                cell = index[:m]
-                np.copyto(cell, actions)  # a cast copy, then an add without a cast buffer
-                cell += offsets[:m]
-                counts += np.bincount(cell.ravel(), minlength=n * k).reshape(n, k)
-                sums += np.bincount(cell.ravel(), weights=payoffs.ravel(),
-                                    minlength=n * k).reshape(n, k)
-            done += m
+            # einsum adds the payoff rows in sum(axis=0)'s order without its per-row
+            # inner loops; sums of 0.0/1.0 are exact in any order, so a GEMV counts.
+            # Both read the draws' float rows: einsum would sum int8 rows in int8.
+            ones = row_ones[:m] @ actions
+            counts[:, 1] += ones
+            counts[:, 0] += m - ones
+            paid_ones = np.einsum("sn,sn->n", payoffs, actions)
+            sums[:, 1] += paid_ones
+            sums[:, 0] += np.einsum("sn->n", payoffs) - paid_ones
+        return counts, sums
+
+    def _kaction_sums(self, n_queries, thresholds, compare):
+        """The same for k > 2, with int8 actions up to k = 128 (the smallest
+        signed type that holds k - 1)."""
+        n, k = self.game.n, self.game.k
+        u, tiles, payoff_rows, int_rows, mask, offsets, index = self._chunk_buffers(
+            np.min_scalar_type(-k), np.bool_, np.intp, np.intp)
+        tiles[...] = thresholds[:, None, :]
+        offsets[...] = np.arange(0, n * k, k)  # cell offsets i k of the flat (n, k) index
+        counts, sums = np.zeros((2, n, k))
+        for done in range(0, n_queries, self._CHUNK):
+            m = min(self._CHUNK, n_queries - done)
+            x = self.rng.random(out=u[:m])
+            actions = compare(x, tiles[0, :m], out=int_rows[:m])
+            for j in range(1, k - 1):
+                actions += compare(x, tiles[j, :m], out=mask[:m])
+            payoffs = self._pure_batch(actions, payoff_rows[:m])
+            # flat index of cell (i, a_si); bincount adds each cell's payoffs in row order
+            cell = index[:m]
+            np.copyto(cell, actions)  # a cast copy, then an add without a cast buffer
+            cell += offsets[:m]
+            counts += np.bincount(cell.ravel(), minlength=n * k).reshape(n, k)
+            sums += np.bincount(cell.ravel(), weights=payoffs.ravel(),
+                                minlength=n * k).reshape(n, k)
+        return counts, sums
+
+    def _sample_estimate(self, n_queries, p_prime, thresholds, compare, beta, delta):
+        """The estimate from ``n_queries`` pure queries made by the producer of the
+        game's k: player i's uniform draw u plays the number of rows t of the
+        (k - 1, n) ``thresholds`` for which ``compare(u, t[i])`` holds."""
+        producer = self._binary_sums if self.game.k == 2 else self._kaction_sums
+        counts, sums = producer(n_queries, thresholds, compare)
         values = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0)
         if self._trace is not None:  # the game itself, so that qm_calls does not move
             error = np.abs(values - self.game.mixed_payoff_table(p_prime))[counts > 0]

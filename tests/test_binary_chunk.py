@@ -338,9 +338,19 @@ def test_a_table_build_leaves_operands_one_slice_high(n):
     assert np.array_equal(game.payoffs_batch(a[:1]), linear_payoffs(game, a[:1]))
 
 
-def test_traced_rows_equal_the_pure_queries_of_a_sampled_run(monkeypatch):
+SAMPLED_RUNS = {
+    "plane": (2, lambda session: lg.plane_dynamics(
+        session, lg.DynamicsParams(alpha=0.25, eta=0.2), "sampling", 0.6)),
+    "block-update": (3, lambda session: lg.block_update(
+        session, 3, mode="sampling", beta=0.6, delta=0.3)),
+}
+
+
+@pytest.mark.parametrize("run", sorted(SAMPLED_RUNS))
+def test_traced_rows_equal_the_pure_queries_of_a_sampled_run(monkeypatch, run):
     # the table is built without going through payoffs_batch, so that every
-    # row a wrapped payoffs_batch sees is one pure query
+    # row a wrapped payoffs_batch sees is one pure query, from either producer
+    k, dynamics = SAMPLED_RUNS[run]
     seen = []
     batch = LinearInfluenceGame.payoffs_batch
 
@@ -349,9 +359,9 @@ def test_traced_rows_equal_the_pure_queries_of_a_sampled_run(monkeypatch):
         return batch(game, actions, out)
 
     monkeypatch.setattr(LinearInfluenceGame, "payoffs_batch", counted)
-    game = lg.gen_linear_influence(6, 2, 1.0, seed=3)
+    game = lg.gen_linear_influence(6, k, 1.0, seed=3)
     session = lg.OracleSession(game, seed=1)
-    lg.plane_dynamics(session, lg.DynamicsParams(alpha=0.25, eta=0.2), "sampling", 0.6)
+    dynamics(session)
     assert game._table is not None
     assert all(g is game for g, _ in seen)
     assert sum(rows for _, rows in seen) == session.pure_queries > 0

@@ -1,5 +1,7 @@
-"""One sampling pipeline behind both samplers, the query budget of every
-sampled entry point, and the per-estimate trace of the sampled goldens."""
+"""The sampling producers behind both samplers: their shared buffers, the
+query budget of every sampled entry point, the per-estimate trace of the
+sampled goldens, and the law of each producer's estimates, checked without
+golden hashes."""
 
 import dataclasses
 import json
@@ -109,3 +111,32 @@ def test_traced_sampling_goldens_keep_their_fingerprints(tmp_path, name):
                    for line in (tmp_path / f"t_{seed}.jsonl").read_text().splitlines()]
         assert sum(rec["samples"] for rec in records) == pure_queries
         assert all(rec["max_error"] <= rec["beta"] == config.beta for rec in records)
+
+
+# the 0.999 quantile of chi-square with n (k - 1) degrees of freedom at n = 5
+CHI2_999 = {5: 20.515, 10: 29.588, 20: 45.315}
+
+# (sampler, k): k = 2 through both samplers reaches the binary producer, and
+# k = 3 and k = 5 the k-action one
+PRODUCERS = [("sample_mixed_binary", 2), ("sample_mixed_kaction", 2),
+             ("sample_mixed_kaction", 3), ("sample_mixed_kaction", 5)]
+
+
+@pytest.mark.parametrize("sampler,k", PRODUCERS)
+def test_estimates_follow_the_law_of_the_blend(sampler, k):
+    # no golden hash: each producer's counts and values against the blend's law
+    n, beta, delta, estimates = 5, 0.5, 0.5, 20
+    game = lg.gen_linear_influence(n, k, 1.0, seed=k)
+    probs = random_profile(n, k, seed=1).probs
+    session = lg.OracleSession(game, seed=7)
+    ests = [getattr(session, sampler)(probs, beta, delta) for _ in range(estimates)]
+    p_prime = (1.0 - beta / 2.0) * probs + beta / (2.0 * k)
+    samples = ests[0].samples
+    for est in ests:
+        assert np.all(est.counts.sum(axis=1) == samples)
+    expected = estimates * samples * p_prime
+    pooled = sum(est.counts for est in ests)
+    assert ((pooled - expected) ** 2 / expected).sum() < CHI2_999[n * (k - 1)]
+    values = np.array([est.values for est in ests])
+    error = values.std(axis=0, ddof=1) / math.sqrt(estimates)
+    assert np.all(np.abs(values.mean(axis=0) - game.mixed_payoff_table(p_prime)) < 4.5 * error)
