@@ -111,6 +111,7 @@ class OracleSession:
         self.qm_calls = 0
         self._trace = open(trace_path, "w") if trace_path else None
         self._buffers = None  # one sampling chunk's arrays, see _chunk_buffers
+        self._profiles = None  # every pure profile of a small game, see _histogram_sums
 
     def _check_shape(self, probs: np.ndarray):
         shape = (self.game.n, self.game.k)
@@ -151,9 +152,10 @@ class OracleSession:
 
     def sample_mixed_kaction(self, probs: np.ndarray, beta: float, delta: float) -> MixedEstimate:
         """Estimate E[u_i(j, .)] from ceil(64 k^2 / beta^3 ln(8n / delta)) pure queries
-        drawn from the blend p' = (1 - beta/2) probs + beta/(2k): player i plays the
-        number of the first k - 1 entries of p'_i's cdf below its uniform draw u.  A
-        k = 2 game is drawn by the binary producer with these thresholds."""
+        drawn from the blend p' = (1 - beta/2) probs + beta/(2k).  Drawn per row (see
+        ``_sample_estimate``), player i plays the number of the first k - 1 entries of
+        p'_i's cdf below its uniform draw u, and a k = 2 game goes through the binary
+        producer with these thresholds."""
         n, k = self.game.n, self.game.k
         if k < 2:
             raise ValueError("need at least two actions")
@@ -163,69 +165,129 @@ class OracleSession:
         cdf = np.cumsum(p_prime, axis=1).T[:-1]
         return self._sample_estimate(n_queries, p_prime, cdf, np.greater, beta, delta)
 
-    def _chunk_buffers(self, *dtypes):
-        """One sampling chunk's arrays, built by the first estimate: uniforms,
-        (k - 1, chunk, n) threshold tiles, payoffs, and a (chunk, n) array of
-        each of ``dtypes`` (the same in every call, as k fixes the producer)."""
+    def _chunk_buffers(self):
+        """One sampling chunk's arrays, built by the first estimate and shared by
+        every producer: uniforms, (k - 1, chunk, n) threshold tiles, payoffs and
+        action rows in the dtype the reduction reads.  At k = 2 the rows are the
+        uniforms, which the draw compares in place into 0.0/1.0 floats; above, they
+        are int8 up to k = 128 (the smallest signed type that holds k - 1), next to
+        a comparison mask, the cell offsets i k and the flat (n, k) cell index."""
         if self._buffers is None:
-            shape = (self._CHUNK, self.game.n)
-            self._buffers = (np.empty(shape), np.empty((self.game.k - 1,) + shape),
-                             np.empty(shape), *(np.empty(shape, dtype) for dtype in dtypes))
+            n, k = self.game.n, self.game.k
+            shape = (self._CHUNK, n)
+            u = np.empty(shape)
+            self._buffers = (u, np.empty((k - 1,) + shape), np.empty(shape))
+            if k == 2:
+                self._buffers += (u,)
+            else:
+                offsets = np.empty(shape, np.intp)
+                offsets[...] = np.arange(0, n * k, k)
+                self._buffers += (np.empty(shape, np.min_scalar_type(-k)),
+                                  np.empty(shape, np.bool_), offsets, np.empty(shape, np.intp))
         return self._buffers
 
     def _binary_sums(self, n_queries, thresholds, compare):
-        """(n, 2) counts and payoff sums of ``n_queries`` pure queries of a k = 2 game."""
-        u, tiles, payoff_rows = self._chunk_buffers()
+        """(n, 2) counts and payoff sums of ``n_queries`` pure queries of a k = 2 game,
+        each row drawn from the session's uniforms."""
+        u, tiles = self._chunk_buffers()[:2]
         tiles[...] = thresholds[:, None, :]  # chunk-shaped, so no comparison broadcasts
-        counts, sums = np.zeros((2, self.game.n, 2))
-        row_ones = np.ones(min(self._CHUNK, n_queries))
-        for done in range(0, n_queries, self._CHUNK):
-            m = min(self._CHUNK, n_queries - done)
+
+        def draw(done, m):
             x = self.rng.random(out=u[:m])
-            actions = compare(x, tiles[0, :m], out=x)  # in place: 0.0/1.0 actions
-            payoffs = self._pure_batch(actions, payoff_rows[:m])
-            # einsum adds the payoff rows in sum(axis=0)'s order without its per-row
-            # inner loops; sums of 0.0/1.0 are exact in any order, so a GEMV counts.
-            # Both read the draws' float rows: einsum would sum int8 rows in int8.
-            ones = row_ones[:m] @ actions
-            counts[:, 1] += ones
-            counts[:, 0] += m - ones
-            paid_ones = np.einsum("sn,sn->n", payoffs, actions)
-            sums[:, 1] += paid_ones
-            sums[:, 0] += np.einsum("sn->n", payoffs) - paid_ones
-        return counts, sums
+            return compare(x, tiles[0, :m], out=x)  # in place: 0.0/1.0 actions
+        return self._answered_sums(n_queries, draw)
 
     def _kaction_sums(self, n_queries, thresholds, compare):
-        """The same for k > 2, with int8 actions up to k = 128 (the smallest
-        signed type that holds k - 1)."""
-        n, k = self.game.n, self.game.k
-        u, tiles, payoff_rows, int_rows, mask, offsets, index = self._chunk_buffers(
-            np.min_scalar_type(-k), np.bool_, np.intp, np.intp)
+        """The same for k > 2, into the buffers' integer rows."""
+        u, tiles, _, rows, mask = self._chunk_buffers()[:5]
         tiles[...] = thresholds[:, None, :]
-        offsets[...] = np.arange(0, n * k, k)  # cell offsets i k of the flat (n, k) index
-        counts, sums = np.zeros((2, n, k))
-        for done in range(0, n_queries, self._CHUNK):
-            m = min(self._CHUNK, n_queries - done)
+
+        def draw(done, m):
             x = self.rng.random(out=u[:m])
-            actions = compare(x, tiles[0, :m], out=int_rows[:m])
-            for j in range(1, k - 1):
+            actions = compare(x, tiles[0, :m], out=rows[:m])
+            for j in range(1, tiles.shape[0]):
                 actions += compare(x, tiles[j, :m], out=mask[:m])
-            payoffs = self._pure_batch(actions, payoff_rows[:m])
-            # flat index of cell (i, a_si); bincount adds each cell's payoffs in row order
-            cell = index[:m]
-            np.copyto(cell, actions)  # a cast copy, then an add without a cast buffer
-            cell += offsets[:m]
-            counts += np.bincount(cell.ravel(), minlength=n * k).reshape(n, k)
-            sums += np.bincount(cell.ravel(), weights=payoffs.ravel(),
-                                minlength=n * k).reshape(n, k)
+            return actions
+        return self._answered_sums(n_queries, draw)
+
+    def _histogram_sums(self, n_queries, p_prime):
+        """(n, k) counts and payoff sums of ``n_queries`` pure queries of a game with
+        k^n <= ``BATCH_ROWS`` pure profiles.  How often each profile is queried is one
+        multinomial draw over the product of the rows of ``p_prime``, indexed by
+        C-order profile code (base-k digits, player 0 first), and the queries are
+        answered in code order: each chunk takes its rows from a (k^n, n) matrix of
+        every profile, in the dtype of the buffers' action rows."""
+        n, k = self.game.n, self.game.k
+        rows = self._chunk_buffers()[3]
+        if self._profiles is None:
+            self._profiles = np.indices((k,) * n, dtype=rows.dtype).reshape(n, -1).T.copy()
+        pi = p_prime[0]
+        for probs in p_prime[1:]:
+            pi = np.multiply.outer(pi, probs).ravel()
+        ends = np.cumsum(self.rng.multinomial(n_queries, pi))  # one past each code's queries
+
+        def take(done, m):
+            first = np.searchsorted(ends, done, side="right")
+            last = np.searchsorted(ends, done + m)
+            runs = np.diff(np.clip(ends[first:last + 1], done, done + m), prepend=done)
+            codes = np.repeat(np.arange(first, last + 1), runs)
+            # mode="clip" writes into out directly; "raise" would buffer a copy
+            return np.take(self._profiles, codes, axis=0, out=rows[:m], mode="clip")
+        return self._answered_sums(n_queries, take)
+
+    def _answered_sums(self, n_queries, rows):
+        """(n, k) counts and payoff sums of ``n_queries`` pure queries, one chunk at a
+        time: ``rows(done, m)`` gives the action rows of queries done to done + m, one
+        ``payoffs_batch`` call answers them and the reduction of the game's k adds
+        them in."""
+        payoff_rows = self._chunk_buffers()[2]
+        add = self._add_binary if self.game.k == 2 else self._add_kaction
+        counts, sums = np.zeros((2, self.game.n, self.game.k))
+        for done in range(0, n_queries, self._CHUNK):
+            actions = rows(done, min(self._CHUNK, n_queries - done))
+            add(actions, self._pure_batch(actions, payoff_rows[:actions.shape[0]]), counts, sums)
         return counts, sums
 
+    @staticmethod
+    def _add_binary(actions, payoffs, counts, sums):
+        """Add one chunk of 0.0/1.0 float action rows and their payoffs into the (n, 2)
+        counts and sums."""
+        # einsum adds the payoff rows in sum(axis=0)'s order without its per-row
+        # inner loops; sums of 0.0/1.0 are exact in any order, so a GEMV counts.
+        # Both read float rows: einsum would sum int8 rows in int8.
+        m = actions.shape[0]
+        ones = np.ones(m) @ actions
+        counts[:, 1] += ones
+        counts[:, 0] += m - ones
+        paid_ones = np.einsum("sn,sn->n", payoffs, actions)
+        sums[:, 1] += paid_ones
+        sums[:, 0] += np.einsum("sn->n", payoffs) - paid_ones
+
+    def _add_kaction(self, actions, payoffs, counts, sums):
+        """The same for k > 2 integer action rows, by the flat index of cell (i, a_si):
+        bincount adds each cell's payoffs in row order."""
+        m, (n, k) = actions.shape[0], counts.shape
+        offsets, index = self._buffers[-2:]
+        cell = index[:m]
+        np.copyto(cell, actions)  # a cast copy, then an add without a cast buffer
+        cell += offsets[:m]
+        counts += np.bincount(cell.ravel(), minlength=n * k).reshape(n, k)
+        sums += np.bincount(cell.ravel(), weights=payoffs.ravel(), minlength=n * k).reshape(n, k)
+
     def _sample_estimate(self, n_queries, p_prime, thresholds, compare, beta, delta):
-        """The estimate from ``n_queries`` pure queries made by the producer of the
-        game's k: player i's uniform draw u plays the number of rows t of the
-        (k - 1, n) ``thresholds`` for which ``compare(u, t[i])`` holds."""
-        producer = self._binary_sums if self.game.k == 2 else self._kaction_sums
-        counts, sums = producer(n_queries, thresholds, compare)
+        """The estimate from ``n_queries`` pure queries drawn from ``p_prime``.  A game
+        with k^n <= ``BATCH_ROWS`` pure profiles draws them as one histogram over its
+        profiles (``_histogram_sums``).  A larger game draws each query's row with the
+        producer of its k: player i's uniform draw u plays the number of rows t of
+        the (k - 1, n) ``thresholds`` for which ``compare(u, t[i])`` holds.  Both
+        give the queries the same law, from different random streams, and every
+        query is one counted ``payoffs_batch`` row."""
+        n, k = self.game.n, self.game.k
+        if k ** n <= BATCH_ROWS:
+            counts, sums = self._histogram_sums(n_queries, p_prime)
+        else:
+            producer = self._binary_sums if k == 2 else self._kaction_sums
+            counts, sums = producer(n_queries, thresholds, compare)
         values = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0)
         if self._trace is not None:  # the game itself, so that qm_calls does not move
             error = np.abs(values - self.game.mixed_payoff_table(p_prime))[counts > 0]

@@ -83,8 +83,8 @@ def reference_estimate(game, profile, beta, seed, rows, chunk):
     return chunks, counts, values
 
 
-def recorded_estimate(game, profile, beta, seed, chunk):
-    """Run ``sample_mixed_kaction``, keeping a copy of every chunk's actions and payoffs."""
+def recording_session(game, seed, chunk):
+    """A session that keeps a copy of every chunk's actions and payoffs."""
     session = lg.OracleSession(game, seed=seed)
     session._CHUNK = chunk
     chunks = []
@@ -96,7 +96,24 @@ def recorded_estimate(game, profile, beta, seed, chunk):
         return payoffs
 
     session._pure_batch = record
+    return session, chunks
+
+
+def recorded_estimate(game, profile, beta, seed, chunk):
+    """Run ``sample_mixed_kaction``, keeping a copy of every chunk's actions and payoffs."""
+    session, chunks = recording_session(game, seed, chunk)
     return session.sample_mixed_kaction(profile.probs, beta, 0.05), chunks
+
+
+def per_row_estimate(session, profile, beta, rows):
+    """Counts and values of ``rows`` pure queries from the per-row producer of the
+    game's k, called by name with the thresholds ``sample_mixed_kaction`` gives it:
+    a game of at most ``BATCH_ROWS`` pure profiles would be drawn as one histogram
+    instead."""
+    cdf = np.cumsum(oracles.blend_kaction(profile.probs, beta), axis=1).T[:-1]
+    producer = session._binary_sums if session.game.k == 2 else session._kaction_sums
+    counts, sums = producer(rows, cdf, np.greater)
+    return counts, np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0)
 
 
 def assert_same_chunks(got, want, k):
@@ -199,18 +216,18 @@ def test_payoffs_batch_takes_integer_valued_float_rows(k, rows):
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("n", NS)
 @pytest.mark.parametrize("k", KS)
-def test_sampling_chunk_matches_mask_reference(monkeypatch, k, n, chunk):
+def test_sampling_chunk_matches_mask_reference(k, n, chunk):
     # a chunk and a half plus one row, so the last chunk is partial
     rows = chunk + chunk // 2 + 1
-    monkeypatch.setattr(oracles, "kaction_sample_count", lambda *args: rows)
     game = lg.gen_linear_influence(n, k, 1.0, seed=10 * n + k)
     profile = random_profile(n, k, seed=k)
-    est, chunks = recorded_estimate(game, profile, 0.3, 7, chunk)
+    session, chunks = recording_session(game, 7, chunk)
+    counts, values = per_row_estimate(session, profile, 0.3, rows)
     ref_chunks, ref_counts, ref_values = reference_estimate(game, profile, 0.3, 7, rows, chunk)
     assert_same_chunks(chunks, ref_chunks, game.k)
-    assert np.array_equal(est.counts, ref_counts)
-    assert np.array_equal(est.values, ref_values)
-    assert np.all(est.counts.sum(axis=1) == rows)
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(values, ref_values)
+    assert np.all(counts.sum(axis=1) == rows)
 
 
 def test_whole_estimate_with_partial_last_chunk_matches_mask_reference():
@@ -275,3 +292,20 @@ def test_second_estimate_allocates_less_than_one_int8_chunk():
         tracemalloc.stop()
     assert est.samples > 10 * lg.OracleSession._CHUNK
     assert peak < lg.OracleSession._CHUNK * 10
+
+
+def test_second_histogram_estimate_allocates_less_than_one_float_chunk():
+    # 3^7 = 2187 pure profiles, so the estimate is drawn as one histogram
+    game = lg.gen_linear_influence(7, 3, 1.0, seed=4)
+    session = lg.OracleSession(game, seed=2)
+    probs = random_profile(7, 3, seed=1).probs
+    session.sample_mixed_kaction(probs, 0.3, 0.05)  # builds the buffers, profiles and table
+    tracemalloc.start()
+    try:
+        est = session.sample_mixed_kaction(probs, 0.3, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert session._profiles.shape == (3 ** 7, 7)
+    assert est.samples > 10 * lg.OracleSession._CHUNK
+    assert peak < BATCH_ROWS * 7 * 8
