@@ -245,7 +245,8 @@ class OracleSession:
         counts, sums = np.zeros((2, self.game.n, self.game.k))
         for done in range(0, n_queries, self._CHUNK):
             actions = rows(done, min(self._CHUNK, n_queries - done))
-            add(actions, self._pure_batch(actions, payoff_rows[:actions.shape[0]]), counts, sums)
+            payoffs = self._pure_batch(actions, payoff_rows[:actions.shape[0]])
+            add(actions, payoffs, counts, sums)
         return counts, sums
 
     @staticmethod
