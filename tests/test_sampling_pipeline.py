@@ -138,8 +138,9 @@ def law_game(n, k, stochastic):
 
 
 def estimates_by(producer, game, sampler, probs, count, seed, trace_path=None):
-    """``count`` estimates of one profile, each drawn by ``producer``: a per-row
-    producer is reached on these small games once no game counts as small."""
+    """``count`` estimates of one profile at beta = delta = 0.5, each drawn by
+    ``producer``: a per-row producer is reached on these small games once no
+    game counts as small."""
     drawn = []
     original = getattr(lg.OracleSession, producer)
 
