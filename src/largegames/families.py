@@ -24,10 +24,9 @@ from .games import (
 from .oracles import StochasticGame
 
 
-# The most pure profiles a linear-influence game tabulates.  The largest table
-# is 8 MiB (k = 2, n = 16), and 3^10 fits.  Every shape with k^n up to here
-# gives a row the same bits at every GEMM height of two or more rows; k = 2 at
-# n = 17 to 20 does not, so a higher limit needs a new scan.
+# The most pure profiles a linear-influence game tabulates, a bound on memory:
+# the largest table is 8 MiB (k = 2, n = 16, one float per player and
+# profile), its build adds one column's accumulator, and 3^10 fits.
 TABLE_PROFILES = 2 ** 16
 
 
@@ -51,15 +50,11 @@ class LinearInfluenceGame(Game):
     probs)``, bit for bit for k <= 7 (checked with numpy 2.4, n <= 100); for
     larger k einsum groups the terms differently and they agree to rounding.
 
-    A game with k^n <= ``TABLE_PROFILES`` pure profiles answers every batch
-    of two or more rows from a read-only (k^n, n) table of all their payoffs,
-    looked up by each row's profile code.  The first such batch builds it in
-    slices of at most ``BATCH_ROWS // 8`` profiles, one kernel call each, so
-    the temporaries each call allocates never grow past one slice.  At these
-    sizes a GEMM gives a row the same bits at every height of two or more rows
-    (checked with OpenBLAS at one and two threads), so the table answers equal
-    the kernel's.  One-row batches, which numpy computes as a GEMV with other
-    low bits, and larger games stay on the kernel.
+    A game with k^n <= ``TABLE_PROFILES`` pure profiles answers every batch,
+    one-row batches too, by looking each row's profile code up in a read-only
+    (k^n, n) table that the first batch builds in a fixed order without BLAS
+    (``_profile_table``), so a profile gets one answer in any batch at any BLAS
+    thread count.  Larger games use the GEMM kernel, one chunk at a time.
     """
 
     def __init__(self, base: np.ndarray, weights: np.ndarray, c: float):
@@ -95,7 +90,7 @@ class LinearInfluenceGame(Game):
 
     def payoffs_batch(self, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty((actions.shape[0], self.n)) if out is None else out
-        if actions.shape[0] > 1 and self.k ** self.n <= TABLE_PROFILES:
+        if self.k ** self.n <= TABLE_PROFILES:
             table, radix = self._profile_table()
             return np.take(table, self._profile_codes(actions, radix), axis=0, out=out,
                            mode="clip")
@@ -104,7 +99,7 @@ class LinearInfluenceGame(Game):
         return out
 
     def _chunk_payoffs(self, actions: np.ndarray, out: np.ndarray) -> None:
-        """Write the payoffs of at most ``BATCH_ROWS`` rows into ``out``.
+        """Write the payoffs of at most ``BATCH_ROWS`` rows of an untabulated game into ``out``.
 
         Each GEMM takes the whole chunk.  OpenBLAS picks its kernel, summation order
         and thread split by shape, so a row's low bits depend on the GEMM it is in;
@@ -146,20 +141,24 @@ class LinearInfluenceGame(Game):
         out += np.take(self._scaled_base, cell)
 
     def _profile_table(self):
-        """The (k^n, n) payoffs of every pure profile, row c for the profile whose
-        C-order code (base-k digits, player 0 first) is c, and the float radix
-        vector of those codes.  ``_chunk_payoffs`` computes the payoffs
-        ``BATCH_ROWS // 8`` profiles at a time, so they are not counted as
-        queries and the kernel's temporaries stay one slice high.  They are
-        read-only and published in one assignment (see the ``games`` module)."""
+        """The (k^n, n) payoffs of every pure profile (row c: C-order code c, base-k
+        digits, player 0 first) and the float radix vector of those codes.  Column
+        i adds w[i, l, a_i, a_l] over l != i in index order in one (k,) * n
+        accumulator, times mu / (n - 1), plus (1 - mu) base_i(a_i): a fixed order,
+        without BLAS.  Counted as no query; read-only, published in one assignment
+        (see the ``games`` module)."""
         cached = self._table
         if cached is None:
-            n, k, height = self.n, self.k, BATCH_ROWS // 8
-            table = np.empty((k ** n, n))
-            for lo in range(0, k ** n, height):
-                codes = np.arange(lo, min(lo + height, k ** n))
-                rows = np.stack(np.unravel_index(codes, (k,) * n), axis=1)
-                self._chunk_payoffs(rows, table[lo:lo + height])
+            n, k, scale = self.n, self.k, self.mu / (self.n - 1)
+            table, acc = np.empty((k ** n, n)), np.empty((k,) * n)
+            grid = np.ogrid[(slice(k),) * n]  # grid[l]: the actions along axis l
+            for i in range(n):
+                acc.fill(0.0)
+                for l in (l for l in range(n) if l != i):
+                    acc += self.weights[i, l, grid[i], grid[l]]  # a (k, k) block
+                acc *= scale
+                acc += self._scaled_base[i, grid[i]]
+                table[:, i] = acc.reshape(-1)
             cached = (table, float(k) ** np.arange(n - 1, -1, -1))
             for arr in cached:
                 arr.setflags(write=False)

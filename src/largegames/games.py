@@ -15,10 +15,10 @@ so values can be shared freely across threads, with two exceptions in
 temporaries per call, at most one chunk of ``BATCH_ROWS`` rows high):
 
 - its payoff table, when the game has k^n <= ``TABLE_PROFILES`` (2^16) pure
-  profiles: every profile's payoffs, built by the first batch of two or
-  more rows in slices of at most ``BATCH_ROWS // 8`` profiles.  It is
-  read-only, computed only from the immutable fields and published by one
-  assignment, so racing threads build equal tables, each reading its own;
+  profiles: every profile's payoffs, built by the first batch in a fixed
+  order without BLAS.  It is read-only, computed only from the immutable
+  fields and published by one assignment, so racing threads build equal
+  tables, each reading its own;
 - its per-thread buffers for the profile codes of a table lookup, in a
   ``threading.local``, so each thread writes only its own.
 """
@@ -162,11 +162,11 @@ class Game(ABC):
     def payoffs(self, actions) -> np.ndarray:
         """Payoff vector (length n) for one pure profile: row 0 of a one-row batch.
 
-        Only one-row answers are pinned.  A row inside a batch gets the bits of
-        its ``BATCH_ROWS``-row chunk, and OpenBLAS picks its summation order by
-        shape: at n = 60 about 99% of the rows of a 4096-row linear-influence
-        chunk differ in their last bits from the same row alone.  A one-row
-        batch is therefore never answered from a linear-influence payoff table.
+        A linear-influence game above ``TABLE_PROFILES`` pure profiles pins only
+        one-row answers: a row inside a batch gets the bits of its ``BATCH_ROWS``
+        chunk, and OpenBLAS picks its summation order by shape (at n = 60 about
+        99% of a 4096-row chunk's rows differ in their last bits from the same
+        row alone).  Every other game gives a profile one answer in any batch.
         """
         a = as_pure_profile(actions, self.n, self.k)
         return self.payoffs_batch(a[None, :])[0]

@@ -86,6 +86,23 @@ def linear_payoffs(game, actions):
     return out
 
 
+def table_payoffs(game, actions):
+    """Linear-influence payoffs of each row in the payoff table's fixed order: per
+    player i, w[i, l, a_i, a_l] added over the opponents l != i in index order,
+    times mu / (n - 1), plus (1 - mu) base_i(a_i)."""
+    a = np.asarray(actions, dtype=np.intp)
+    n, w = game.n, game.weights
+    out = np.empty(a.shape)
+    for i in range(n):
+        acc = np.zeros(a.shape[0])
+        for l in (l for l in range(n) if l != i):
+            acc += w[i, l, a[:, i], a[:, l]]
+        acc *= game.mu / (n - 1)
+        acc += (1.0 - game.mu) * game.base[i, a[:, i]]
+        out[:, i] = acc
+    return out
+
+
 def pairwise_payoffs(game, actions):
     """Linear-influence payoffs of one pure profile, summed pair by pair as the
     former per-profile ``LinearInfluenceGame.payoffs`` did."""

@@ -2,7 +2,10 @@
 
 Each reference below is the former implementation of one stage of a
 k > 2 sampling chunk: the draw built a (rows, n, k - 1) comparison array,
-``payoffs_batch`` and the reduction made one mask pass per action.  A
+the GEMM kernel (``LinearInfluenceGame._chunk_payoffs``) and the reduction
+made one mask pass per action.  A game of at most ``TABLE_PROFILES`` pure
+profiles answers from its payoff table, whose reference is
+``table_payoffs``; the kernel's pins at those sizes call it by name.  A
 k = 2 game sampled through ``sample_mixed_kaction`` is evaluated and
 reduced by the binary code, so its references are the binary ones.  The
 fast code draws into session buffers and must agree with them bit for bit.
@@ -17,11 +20,12 @@ import largegames as lg
 from largegames import oracles
 from largegames.families import TABLE_PROFILES
 from largegames.games import BATCH_ROWS
-from references import linear_payoffs, reference_reduce
+from references import linear_payoffs, reference_reduce, table_payoffs
 
 KS = (2, 3, 4, 5, 6, 7)
 NS = (2, 7, 20, 100)
 CHUNKS = (1, 17, 4096)
+EPS = np.finfo(float).eps
 
 
 def mask_draw(u, cdf):
@@ -50,6 +54,14 @@ def mask_payoffs(game, actions):
     return (1.0 - game.mu) * base_own + game.mu / (n - 1) * own
 
 
+def answered_payoffs(game, actions):
+    """What ``payoffs_batch`` answers: the table's order for a game of at most
+    ``TABLE_PROFILES`` pure profiles, the kernel's above."""
+    if game.k ** game.n <= TABLE_PROFILES:
+        return table_payoffs(game, actions)
+    return mask_payoffs(game, actions)
+
+
 def mask_reduce(actions, payoffs, k, counts, sums):
     if k == 2:
         return reference_reduce(actions, payoffs, counts, sums)
@@ -75,7 +87,7 @@ def reference_estimate(game, profile, beta, seed, rows, chunk):
     done = 0
     while done < rows:
         actions = mask_draw(rng.random((min(chunk, rows - done), game.n)), cdf)
-        payoffs = mask_payoffs(game, actions)
+        payoffs = answered_payoffs(game, actions)
         mask_reduce(actions, payoffs, game.k, counts, sums)
         chunks.append((actions, payoffs))
         done += actions.shape[0]
@@ -129,10 +141,13 @@ def assert_same_chunks(got, want, k):
 @pytest.mark.parametrize("n", NS)
 @pytest.mark.parametrize("k", KS)
 def test_payoffs_batch_matches_mask_reference(k, n, dtype):
-    # int8 rows come from the sampling draws, int64 rows from query_pure
+    # int8 rows come from the sampling draws, int64 rows from query_pure; the
+    # kernel is called by name, as the games at n = 2 and 7 answer from a table
     game = lg.gen_linear_influence(n, k, 1.0, seed=10 * n + k)
     actions = np.random.default_rng(n).integers(0, k, size=(33, n)).astype(dtype)
-    assert np.array_equal(game.payoffs_batch(actions), mask_payoffs(game, actions))
+    out = np.empty((33, n))
+    game._chunk_payoffs(actions, out)
+    assert np.array_equal(out, mask_payoffs(game, actions))
 
 
 TABLE_GAMES = ([(k, n) for k in range(3, 9) for n in range(2, 17) if k ** n <= TABLE_PROFILES]
@@ -141,53 +156,53 @@ TABLE_GAMES = ([(k, n) for k in range(3, 9) for n in range(2, 17) if k ** n <= T
 
 @pytest.mark.parametrize("k,n", TABLE_GAMES)
 def test_payoff_table_answers_equal_the_mask_reference(k, n):
-    # every game with k^n <= TABLE_PROFILES profiles answers batches of two or
-    # more rows from its table, and one-row batches from the kernel
+    # every game with k^n <= TABLE_PROFILES profiles answers every batch, one-row
+    # batches too, from its table, whose order the kernel's GEMMs do not keep:
+    # they agree to rounding
     game = lg.gen_linear_influence(n, k, 1.0, seed=10 * n + k)
     rng = np.random.default_rng(n)
     heights = (1, 2, 3, 5, 17, 100, 4095, 4096, 5000) if k <= 8 else (1, 2, 17, 300)
     for rows in heights:
         actions = rng.integers(0, k, size=(rows, n)).astype(np.int16)
-        want = mask_payoffs(game, actions)
+        want = table_payoffs(game, actions)
         for dtype in (np.float64, np.int8 if k <= 128 else np.int16, np.int64):
             assert np.array_equal(game.payoffs_batch(actions.astype(dtype)), want)
+        assert np.allclose(want, mask_payoffs(game, actions), rtol=0, atol=4 * n * EPS)
     assert game._table[0].shape == (k ** n, n)
 
 
-# Every k > 2 shape with BATCH_ROWS < k^n <= TABLE_PROFILES and n >= 3, and the
-# smallest at n = 2.  At n = 2 each GEMM entry sums two terms, which round alike
-# in any order, so every n = 2 shape gives a row the same bits at every height.
-SCAN_GAMES = [(k, n) for n in range(3, 17) for k in range(3, 41)
-              if BATCH_ROWS < k ** n <= TABLE_PROFILES] + [(65, 2)]
-
-
-@pytest.mark.parametrize("k,n", SCAN_GAMES)
-def test_table_rows_equal_rows_of_a_full_chunk(k, n):
-    # the bit-identity scan behind TABLE_PROFILES: a table row, computed in a
-    # slice of at most BATCH_ROWS // 8 profiles, has the bits of the same row
-    # inside a full sampling chunk and inside the partial last chunks
+@pytest.mark.parametrize("k,n", [(2, n) for n in range(2, 17)] + TABLE_GAMES)
+def test_a_profile_gets_one_answer_alone_and_in_every_batch(k, n):
+    # payoffs, a pure query and a one-row batch give the bits of the profile's
+    # row in a batch of any height
     game = lg.gen_linear_influence(n, k, 1.0, seed=10 * n + k)
-    actions = np.random.default_rng(n).integers(0, k, size=(BATCH_ROWS, n))
-    want = np.empty((BATCH_ROWS, n))
-    game._chunk_payoffs(actions, want)
-    for rows in (2, 3, 17, 256, 512, 1745, 4095):
-        assert np.array_equal(game.payoffs_batch(actions[:rows]), want[:rows])
-    assert game._table is not None
+    session = lg.OracleSession(game)
+    rng = np.random.default_rng(n)
+    for profile in rng.integers(0, k, size=(64, n)):
+        alone = [game.payoffs(profile), session.query_pure(profile),
+                 game.payoffs_batch(profile[None])[0]]
+        for rows in (2, 17, 4096):
+            batch = rng.integers(0, k, size=(rows, n))
+            at = rng.integers(rows)
+            batch[at] = profile
+            row = game.payoffs_batch(batch)[at]
+            assert all(np.array_equal(answer, row) for answer in alone)
 
 
 def test_kaction_table_covers_at_most_table_profiles():
     for n, tabled in ((10, True), (11, False)):  # 3^10 = 59049 and 3^11 = 177147 profiles
         game = lg.gen_linear_influence(n, 3, 1.0, seed=n)
         actions = np.random.default_rng(n).integers(0, 3, size=(17, n)).astype(np.int8)
-        assert np.array_equal(game.payoffs_batch(actions), mask_payoffs(game, actions))
+        assert np.array_equal(game.payoffs_batch(actions), answered_payoffs(game, actions))
         assert (game._table is not None) == tabled
 
 
 @pytest.mark.parametrize("k,n", ((3, 7), (3, 10)))
 def test_a_table_build_leaves_operands_and_scratch_one_slice_high(k, n):
-    # the table is built BATCH_ROWS // 8 profiles at a time, so afterwards the
-    # game holds no other array a slice high, and the build's peak beyond the
-    # table stays within a few (slice, n k) float arrays
+    # afterwards the game holds no array but the table as high as BATCH_ROWS // 8
+    # rows, and the build's peak beyond the table is its one (k,) * n float
+    # accumulator, numpy's ufunc buffer of at most np.getbufsize() floats for
+    # the broadcast adds, and O(n k + k^2)
     game = lg.gen_linear_influence(n, k, 1.0, seed=0)
     actions = np.random.default_rng(0).integers(0, k, size=(2, n)).astype(np.int8)
     height = min(k ** n, BATCH_ROWS // 8)
@@ -200,8 +215,9 @@ def test_a_table_build_leaves_operands_and_scratch_one_slice_high(k, n):
     held = [value for key, value in vars(game).items() if key != "_table"]
     held += [buf for bufs in vars(game._scratch).values() for buf in bufs]
     assert all(max(arr.shape) < height for arr in held if isinstance(arr, np.ndarray))
-    assert peak - game._table[0].nbytes < 6 * height * n * k * 8
-    assert np.array_equal(game.payoffs_batch(actions[:1]), mask_payoffs(game, actions[:1]))
+    bound = 8 * (k ** n + min(k ** n, np.getbufsize()) + 64 * n * k + k * k)
+    assert peak - game._table[0].nbytes < bound
+    assert np.array_equal(game.payoffs_batch(actions[:1]), table_payoffs(game, actions[:1]))
 
 
 @pytest.mark.parametrize("rows", CHUNKS)
