@@ -145,8 +145,8 @@ class LinearInfluenceGame(Game):
         digits, player 0 first) and the float radix vector of those codes.  Column
         i adds w[i, l, a_i, a_l] over l != i in index order in one (k,) * n
         accumulator, times mu / (n - 1), plus (1 - mu) base_i(a_i): a fixed order,
-        without BLAS.  Counted as no query; read-only, published in one assignment
-        (see the ``games`` module)."""
+        without BLAS.  The build counts no query; both arrays are read-only and
+        published in one assignment (see the ``games`` module)."""
         cached = self._table
         if cached is None:
             n, k, scale = self.n, self.k, self.mu / (self.n - 1)

@@ -27,8 +27,8 @@ from largegames.games import BATCH_ROWS, IndependentGame, TensorGame
 from references import linear_payoffs, reference_reduce, table_payoffs
 
 NS = (2, 7, 10, 20, 100)
-EPS = np.finfo(float).eps
 CHUNKS = (1, 17, 4096)
+EPS = np.finfo(float).eps
 
 
 def int8_draw(rng, m, p_one):
