@@ -15,6 +15,7 @@ import numpy as np
 
 from .games import (
     BATCH_ROWS,
+    TABLE_PROFILES,
     Game,
     IndependentGame,
     TensorGame,
@@ -22,12 +23,6 @@ from .games import (
     _readonly,
 )
 from .oracles import StochasticGame
-
-
-# The most pure profiles a linear-influence game tabulates, a bound on memory:
-# the largest table is 8 MiB (k = 2, n = 16, one float per player and
-# profile), its build adds one column's accumulator, and 3^10 fits.
-TABLE_PROFILES = 2 ** 16
 
 
 class LinearInfluenceGame(Game):

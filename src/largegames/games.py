@@ -21,6 +21,10 @@ temporaries per call, at most one chunk of ``BATCH_ROWS`` rows high):
   tables, each reading its own;
 - its per-thread buffers for the profile codes of a table lookup, in a
   ``threading.local``, so each thread writes only its own.
+
+``TABLE_PROFILES`` is one bound on memory for two things: the games that
+tabulate their payoffs, and the games whose sampled estimates an
+``OracleSession`` draws as one histogram over their pure profiles.
 """
 
 from __future__ import annotations
@@ -36,6 +40,14 @@ SUPPORT_EPS = 1e-12          # probability mass below this does not count as sup
 PROB_TOL = 1e-12             # tolerance for "rows sum to one"
 LARGENESS_TOL = 1e-12
 BATCH_ROWS = 4096            # pure profiles per verifier batch and per sampling chunk
+# The most pure profiles of a game whose payoffs a linear-influence game
+# tabulates, or whose sampled estimates a session draws as one histogram over
+# them: a bound on memory.  The largest table is 8 MiB (k = 2, n = 16, one
+# float per player and profile) and its build adds one column's accumulator.
+# The largest histogram holds the same 8 MiB of every profile's 0.0/1.0 float
+# action row, and k^n floats of probabilities and k^n integer counts.  3^10
+# fits.
+TABLE_PROFILES = 2 ** 16
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

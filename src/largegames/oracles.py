@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .games import BATCH_ROWS, Game, as_pure_profile, binary_probs
+from .games import BATCH_ROWS, TABLE_PROFILES, Game, as_pure_profile, binary_probs
 
 
 def binary_sample_count(beta: float, delta: float, n: int) -> int:
@@ -110,8 +111,9 @@ class OracleSession:
         self.pure_queries = 0
         self.qm_calls = 0
         self._trace = open(trace_path, "w") if trace_path else None
-        self._buffers = None  # one sampling chunk's arrays, see _chunk_buffers
-        self._profiles = None  # every pure profile of a small game, see _histogram_sums
+        self._chunk = None  # every producer's chunk arrays, see _chunk_buffers
+        self._draw = None  # the per-row producers' arrays, see _draw_buffers
+        self._histogram = None  # the histogram producer's arrays, see _histogram_buffers
 
     def _check_shape(self, probs: np.ndarray):
         shape = (self.game.n, self.game.k)
@@ -166,40 +168,69 @@ class OracleSession:
         return self._sample_estimate(n_queries, p_prime, cdf, np.greater, beta, delta)
 
     def _chunk_buffers(self):
-        """One sampling chunk's arrays, built by the first estimate and shared by
-        every producer: uniforms, (k - 1, chunk, n) threshold tiles, payoffs and
-        action rows in the dtype the reduction reads.  At k = 2 the rows are the
-        uniforms, which the draw compares in place into 0.0/1.0 floats; above, they
-        are int8 up to k = 128 (the smallest signed type that holds k - 1), next to
-        a comparison mask, the cell offsets i k and the flat (n, k) cell index."""
-        if self._buffers is None:
+        """The arrays every producer fills, one chunk high, built by the first estimate:
+        ``rows``, the action rows in the dtype the reduction reads, and ``payoffs``,
+        their answers.  The rows are 0.0/1.0 floats at k = 2; above, they are int8 up
+        to k = 128 (the smallest signed type that holds k - 1), next to the cell
+        offsets i k (``offsets``) and the flat (n, k) cell index (``cells``) of the
+        reduction."""
+        if self._chunk is None:
             n, k = self.game.n, self.game.k
             shape = (self._CHUNK, n)
-            u = np.empty(shape)
-            self._buffers = (u, np.empty((k - 1,) + shape), np.empty(shape))
             if k == 2:
-                self._buffers += (u,)
+                self._chunk = SimpleNamespace(rows=np.empty(shape), payoffs=np.empty(shape))
             else:
                 offsets = np.empty(shape, np.intp)
                 offsets[...] = np.arange(0, n * k, k)
-                self._buffers += (np.empty(shape, np.min_scalar_type(-k)),
-                                  np.empty(shape, np.bool_), offsets, np.empty(shape, np.intp))
-        return self._buffers
+                self._chunk = SimpleNamespace(
+                    rows=np.empty(shape, np.min_scalar_type(-k)), payoffs=np.empty(shape),
+                    offsets=offsets, cells=np.empty(shape, np.intp))
+        return self._chunk
+
+    def _draw_buffers(self):
+        """The per-row producers' own arrays, one chunk high: the ``uniforms`` and the
+        (k - 1, chunk, n) threshold ``tiles``, and above k = 2 a comparison ``mask``.
+        At k = 2 the uniforms are the chunk's action rows, which the draw compares in
+        place into 0.0/1.0 floats."""
+        if self._draw is None:
+            k, shape = self.game.k, (self._CHUNK, self.game.n)
+            tiles = np.empty((k - 1,) + shape)
+            if k == 2:
+                self._draw = SimpleNamespace(uniforms=self._chunk_buffers().rows, tiles=tiles)
+            else:
+                self._draw = SimpleNamespace(uniforms=np.empty(shape), tiles=tiles,
+                                             mask=np.empty(shape, np.bool_))
+        return self._draw
+
+    def _histogram_buffers(self):
+        """The histogram producer's own arrays: ``profiles``, the (k^n, n) matrix of
+        every pure profile in C-order code order (base-k digits, player 0 first) and
+        in the dtype of the action rows, and ``probs``, the k^n profile probabilities."""
+        if self._histogram is None:
+            n, k = self.game.n, self.game.k
+            dtype = self._chunk_buffers().rows.dtype
+            self._histogram = SimpleNamespace(
+                profiles=np.indices((k,) * n, dtype=dtype).reshape(n, -1).T.copy(),
+                probs=np.empty(k ** n))
+        return self._histogram
 
     def _binary_sums(self, n_queries, thresholds, compare):
         """(n, 2) counts and payoff sums of ``n_queries`` pure queries of a k = 2 game,
         each row drawn from the session's uniforms."""
-        u, tiles = self._chunk_buffers()[:2]
+        bufs = self._draw_buffers()
+        u, tiles = bufs.uniforms, bufs.tiles
         tiles[...] = thresholds[:, None, :]  # chunk-shaped, so no comparison broadcasts
 
         def draw(done, m):
             x = self.rng.random(out=u[:m])
             return compare(x, tiles[0, :m], out=x)  # in place: 0.0/1.0 actions
-        return self._answered_sums(n_queries, draw)
+        counts = np.zeros((self.game.n, 2))
+        return counts, self._answered_sums(n_queries, draw, counts)
 
     def _kaction_sums(self, n_queries, thresholds, compare):
-        """The same for k > 2, into the buffers' integer rows."""
-        u, tiles, _, rows, mask = self._chunk_buffers()[:5]
+        """The same for k > 2, into the chunk's integer action rows."""
+        bufs, rows = self._draw_buffers(), self._chunk_buffers().rows
+        u, tiles, mask = bufs.uniforms, bufs.tiles, bufs.mask
         tiles[...] = thresholds[:, None, :]
 
         def draw(done, m):
@@ -208,83 +239,103 @@ class OracleSession:
             for j in range(1, tiles.shape[0]):
                 actions += compare(x, tiles[j, :m], out=mask[:m])
             return actions
-        return self._answered_sums(n_queries, draw)
+        counts = np.zeros((self.game.n, self.game.k))
+        return counts, self._answered_sums(n_queries, draw, counts)
 
     def _histogram_sums(self, n_queries, p_prime):
-        """(n, k) counts and payoff sums of ``n_queries`` pure queries of a game with
-        k^n <= ``BATCH_ROWS`` pure profiles.  How often each profile is queried is one
-        multinomial draw over the product of the rows of ``p_prime``, indexed by
-        C-order profile code (base-k digits, player 0 first), and the queries are
-        answered in code order: each chunk takes its rows from a (k^n, n) matrix of
-        every profile, in the dtype of the buffers' action rows."""
+        """(n, k) counts and payoff sums of ``n_queries`` pure queries of a game whose
+        k^n pure profiles number at most ``TABLE_PROFILES`` and at most ``n_queries``.
+        How often each profile is queried is one multinomial draw over the product
+        of the rows of ``p_prime``, indexed by profile code (see
+        ``_histogram_buffers``).  The counts are that histogram's per-player
+        marginals, exact integers.  The queries are answered in code order, each
+        chunk's rows taken from the matrix of every profile, and the chunks add
+        payoff sums only."""
         n, k = self.game.n, self.game.k
-        rows = self._chunk_buffers()[3]
-        if self._profiles is None:
-            self._profiles = np.indices((k,) * n, dtype=rows.dtype).reshape(n, -1).T.copy()
-        pi = p_prime[0]
+        rows, hist = self._chunk_buffers().rows, self._histogram_buffers()
+        pi, size = hist.probs, k
+        pi[:k] = p_prime[0]
+        # in place, pi[a k + b] = pi[a] probs[b]: numpy reads an operand that overlaps
+        # the output before it writes, and the products are those of multiply.outer
         for probs in p_prime[1:]:
-            pi = np.multiply.outer(pi, probs).ravel()
-        ends = np.cumsum(self.rng.multinomial(n_queries, pi))  # one past each code's queries
+            np.multiply(pi[:size, None], probs, out=pi[:size * k].reshape(size, k))
+            size *= k
+        ends = self.rng.multinomial(n_queries, pi)  # each code's queries, until the cumsum
+        counts = np.empty((n, k))
+        rest = ends  # the histogram of the actions of players i and up
+        for i in range(n):
+            rest = rest.reshape(k, -1)
+            counts[i] = rest.sum(axis=1)
+            rest = rest.sum(axis=0)
+        np.cumsum(ends, out=ends)  # one past each code's last query
+        first = 0  # the code of the next chunk's first query
 
         def take(done, m):
-            first = np.searchsorted(ends, done, side="right")
-            last = np.searchsorted(ends, done + m)
-            runs = np.diff(np.clip(ends[first:last + 1], done, done + m), prepend=done)
+            nonlocal first
+            last = np.searchsorted(ends, done + m)  # the code of the chunk's last query
+            runs = ends[first:last + 1] - done  # one past each code's queries in the chunk
+            runs[-1] = m
+            runs[1:] -= runs[:-1]  # numpy reads the overlapping operand before writing
             codes = np.repeat(np.arange(first, last + 1), runs)
+            first = last
             # mode="clip" writes into out directly; "raise" would buffer a copy
-            return np.take(self._profiles, codes, axis=0, out=rows[:m], mode="clip")
-        return self._answered_sums(n_queries, take)
+            return np.take(hist.profiles, codes, axis=0, out=rows[:m], mode="clip")
+        return counts, self._answered_sums(n_queries, take)
 
-    def _answered_sums(self, n_queries, rows):
-        """(n, k) counts and payoff sums of ``n_queries`` pure queries, one chunk at a
-        time: ``rows(done, m)`` gives the action rows of queries done to done + m, one
+    def _answered_sums(self, n_queries, rows, counts=None):
+        """(n, k) payoff sums of ``n_queries`` pure queries, one chunk at a time:
+        ``rows(done, m)`` gives the action rows of queries done to done + m, one
         ``payoffs_batch`` call answers them and the reduction of the game's k adds
-        them in."""
-        payoff_rows = self._chunk_buffers()[2]
+        them in, and counts them into ``counts`` if given."""
+        payoff_rows = self._chunk_buffers().payoffs
         add = self._add_binary if self.game.k == 2 else self._add_kaction
-        counts, sums = np.zeros((2, self.game.n, self.game.k))
+        sums = np.zeros((self.game.n, self.game.k))
         for done in range(0, n_queries, self._CHUNK):
             actions = rows(done, min(self._CHUNK, n_queries - done))
             payoffs = self._pure_batch(actions, payoff_rows[:actions.shape[0]])
-            add(actions, payoffs, counts, sums)
-        return counts, sums
+            add(actions, payoffs, sums, counts)
+        return sums
 
     @staticmethod
-    def _add_binary(actions, payoffs, counts, sums):
+    def _add_binary(actions, payoffs, sums, counts):
         """Add one chunk of 0.0/1.0 float action rows and their payoffs into the (n, 2)
-        counts and sums."""
+        sums, and into the counts unless they are None."""
         # einsum adds the payoff rows in sum(axis=0)'s order without its per-row
         # inner loops; sums of 0.0/1.0 are exact in any order, so a GEMV counts.
         # Both read float rows: einsum would sum int8 rows in int8.
-        m = actions.shape[0]
-        ones = np.ones(m) @ actions
-        counts[:, 1] += ones
-        counts[:, 0] += m - ones
+        if counts is not None:
+            m = actions.shape[0]
+            ones = np.ones(m) @ actions
+            counts[:, 1] += ones
+            counts[:, 0] += m - ones
         paid_ones = np.einsum("sn,sn->n", payoffs, actions)
         sums[:, 1] += paid_ones
         sums[:, 0] += np.einsum("sn->n", payoffs) - paid_ones
 
-    def _add_kaction(self, actions, payoffs, counts, sums):
+    def _add_kaction(self, actions, payoffs, sums, counts):
         """The same for k > 2 integer action rows, by the flat index of cell (i, a_si):
         bincount adds each cell's payoffs in row order."""
-        m, (n, k) = actions.shape[0], counts.shape
-        offsets, index = self._buffers[-2:]
-        cell = index[:m]
+        m, (n, k) = actions.shape[0], sums.shape
+        cell = self._chunk.cells[:m]
         np.copyto(cell, actions)  # a cast copy, then an add without a cast buffer
-        cell += offsets[:m]
-        counts += np.bincount(cell.ravel(), minlength=n * k).reshape(n, k)
+        cell += self._chunk.offsets[:m]
+        if counts is not None:
+            counts += np.bincount(cell.ravel(), minlength=n * k).reshape(n, k)
         sums += np.bincount(cell.ravel(), weights=payoffs.ravel(), minlength=n * k).reshape(n, k)
 
     def _sample_estimate(self, n_queries, p_prime, thresholds, compare, beta, delta):
         """The estimate from ``n_queries`` pure queries drawn from ``p_prime``.  A game
-        with k^n <= ``BATCH_ROWS`` pure profiles draws them as one histogram over its
-        profiles (``_histogram_sums``).  A larger game draws each query's row with the
-        producer of its k: player i's uniform draw u plays the number of rows t of
-        the (k - 1, n) ``thresholds`` for which ``compare(u, t[i])`` holds.  Both
-        give the queries the same law, from different random streams, and every
-        query is one counted ``payoffs_batch`` row."""
+        whose k^n pure profiles number at most ``TABLE_PROFILES`` and at most
+        ``n_queries`` draws them as one histogram over its profiles
+        (``_histogram_sums``); with fewer queries than profiles, the multinomial
+        over k^n cells would cost more than the queries.  Any other game draws each
+        query's row with the producer of its k: player i's uniform draw u plays the
+        number of rows t of the (k - 1, n) ``thresholds`` for which
+        ``compare(u, t[i])`` holds.  Both give the queries the same law, from
+        different random streams, and every query is one counted ``payoffs_batch``
+        row."""
         n, k = self.game.n, self.game.k
-        if k ** n <= BATCH_ROWS:
+        if k ** n <= min(TABLE_PROFILES, n_queries):
             counts, sums = self._histogram_sums(n_queries, p_prime)
         else:
             producer = self._binary_sums if k == 2 else self._kaction_sums

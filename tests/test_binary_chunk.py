@@ -22,8 +22,8 @@ import pytest
 
 import largegames as lg
 from largegames import oracles
-from largegames.families import TABLE_PROFILES, LinearInfluenceGame
-from largegames.games import BATCH_ROWS, IndependentGame, TensorGame
+from largegames.families import LinearInfluenceGame
+from largegames.games import BATCH_ROWS, TABLE_PROFILES, IndependentGame, TensorGame
 from references import linear_payoffs, reference_reduce, table_payoffs
 
 NS = (2, 7, 10, 20, 100)
@@ -76,7 +76,8 @@ def reference_estimate(game, profile, beta, seed, rows, chunk):
 def per_row_estimate(session, profile, beta, rows):
     """Counts and values of ``rows`` pure queries from the binary producer, called by
     name with the thresholds ``sample_mixed_binary`` gives it: a game of at most
-    ``BATCH_ROWS`` pure profiles would be drawn as one histogram instead."""
+    ``TABLE_PROFILES`` pure profiles, and at most as many as its estimate's
+    queries, would be drawn as one histogram instead."""
     p_one = oracles.blend_binary(profile.binary(), beta)
     counts, sums = session._binary_sums(rows, p_one[None], np.less)
     return counts, np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0)
@@ -157,12 +158,17 @@ def test_whole_estimate_at_the_benchmark_setting_matches_reference():
 
 
 def test_session_reuses_its_buffers_across_estimates():
+    # 6 players, so each estimate is one histogram, which builds the chunk's
+    # rows and payoffs and its own profiles and probabilities, and no draw buffers
     game = lg.gen_linear_influence(6, 2, 1.0, seed=0)
     session = lg.OracleSession(game, seed=0)
     first = session.sample_mixed_binary(lg.MixedProfile.uniform(6).probs, 0.5, 0.5)
-    buffers = session._buffers
+    assert session._draw is None
+    buffers = [*vars(session._chunk).values(), *vars(session._histogram).values()]
+    assert len(buffers) == 4
     second = session.sample_mixed_binary(random_profile(6, 2).probs, 0.5, 0.5)
-    assert all(a is b for a, b in zip(session._buffers, buffers))
+    again = [*vars(session._chunk).values(), *vars(session._histogram).values()]
+    assert all(a is b for a, b in zip(again, buffers, strict=True))
     # estimates hold their own arrays, not views of the buffers
     assert not any(np.shares_memory(arr, buf) for buf in buffers
                    for est in (first, second) for arr in (est.values, est.counts))

@@ -18,8 +18,7 @@ import pytest
 
 import largegames as lg
 from largegames import oracles
-from largegames.families import TABLE_PROFILES
-from largegames.games import BATCH_ROWS
+from largegames.games import BATCH_ROWS, TABLE_PROFILES
 from references import linear_payoffs, reference_reduce, table_payoffs
 
 KS = (2, 3, 4, 5, 6, 7)
@@ -120,8 +119,8 @@ def recorded_estimate(game, profile, beta, seed, chunk):
 def per_row_estimate(session, profile, beta, rows):
     """Counts and values of ``rows`` pure queries from the per-row producer of the
     game's k, called by name with the thresholds ``sample_mixed_kaction`` gives it:
-    a game of at most ``BATCH_ROWS`` pure profiles would be drawn as one histogram
-    instead."""
+    a game of at most ``TABLE_PROFILES`` pure profiles, and at most as many as
+    its estimate's queries, would be drawn as one histogram instead."""
     cdf = np.cumsum(oracles.blend_kaction(profile.probs, beta), axis=1).T[:-1]
     producer = session._binary_sums if session.game.k == 2 else session._kaction_sums
     counts, sums = producer(rows, cdf, np.greater)
@@ -247,18 +246,21 @@ def test_sampling_chunk_matches_mask_reference(k, n, chunk):
 
 
 def test_whole_estimate_with_partial_last_chunk_matches_mask_reference():
-    # the sampled-kaction benchmark setting: n=10, k=3, beta=0.3, delta=0.05
+    # the query count of the sampled-kaction benchmark setting (n=10, k=3,
+    # beta=0.3, delta=0.05), through the per-row producer called by name, as
+    # sample_mixed_kaction draws this game as one histogram
     game = lg.gen_linear_influence(10, 3, 1.0, seed=4)
     profile = random_profile(10, 3, seed=1)
-    est, chunks = recorded_estimate(game, profile, 0.3, 2, lg.OracleSession._CHUNK)
-    assert est.samples == oracles.kaction_sample_count(0.3, 0.05, 10, 3)
-    assert est.samples % lg.OracleSession._CHUNK != 0
+    session, chunks = recording_session(game, 2, lg.OracleSession._CHUNK)
+    rows = oracles.kaction_sample_count(0.3, 0.05, 10, 3)
+    assert rows % lg.OracleSession._CHUNK != 0
+    counts, values = per_row_estimate(session, profile, 0.3, rows)
     ref_chunks, ref_counts, ref_values = reference_estimate(
-        game, profile, 0.3, 2, est.samples, lg.OracleSession._CHUNK)
+        game, profile, 0.3, 2, rows, lg.OracleSession._CHUNK)
     assert_same_chunks(chunks, ref_chunks, game.k)
-    assert np.array_equal(est.counts, ref_counts)
-    assert np.array_equal(est.values, ref_values)
-    assert np.all(est.counts.sum(axis=1) == est.samples)
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(values, ref_values)
+    assert np.all(counts.sum(axis=1) == rows)
 
 
 @pytest.mark.parametrize("k", (129, 130))
@@ -278,36 +280,73 @@ def test_actions_past_int8_are_drawn_answered_and_reduced(monkeypatch, k):
     assert np.array_equal(est.values, ref_values)
 
 
-def chunk_buffers(session):
-    return [buf for buf in session._buffers if buf is not None]
+def session_buffers(session):
+    """Every named buffer array of a session, by buffer set and name."""
+    sets = {"chunk": session._chunk, "draw": session._draw, "histogram": session._histogram}
+    return {(name, key): arr for name, bufs in sets.items() if bufs is not None
+            for key, arr in vars(bufs).items()}
 
 
 @pytest.mark.parametrize("k", (2, 3))
 def test_session_reuses_its_buffers_across_estimates(k):
+    # 6 players, so sample_mixed_kaction draws histograms; the per-row producer,
+    # called by name, adds its own buffers to the chunk's
     game = lg.gen_linear_influence(6, k, 1.0, seed=0)
     session = lg.OracleSession(game, seed=0)
     first = session.sample_mixed_kaction(lg.MixedProfile.uniform(6, k).probs, 0.5, 0.5)
-    buffers = chunk_buffers(session)
+    assert session._draw is None  # a histogram draws no uniforms and no thresholds
+    per_row_estimate(session, random_profile(6, k, seed=3), 0.5, 100)
+    buffers = session_buffers(session)
+    assert {name for name, _ in buffers} == {"chunk", "draw", "histogram"}
     second = session.sample_mixed_kaction(random_profile(6, k, seed=2).probs, 0.5, 0.5)
-    assert all(a is b for a, b in zip(chunk_buffers(session), buffers))
+    per_row_estimate(session, random_profile(6, k, seed=4), 0.5, 100)
+    again = session_buffers(session)
+    assert again.keys() == buffers.keys()
+    assert all(again[key] is buf for key, buf in buffers.items())
     # estimates hold their own arrays, not views of the buffers
-    assert not any(np.shares_memory(arr, buf) for buf in buffers
+    assert not any(np.shares_memory(arr, buf) for buf in buffers.values()
                    for est in (first, second) for arr in (est.values, est.counts, est.p_prime))
 
 
 def test_second_estimate_allocates_less_than_one_int8_chunk():
+    # the per-row producer called by name, at the query count of the
+    # sampled-kaction benchmark setting, which sample_mixed_kaction draws as one
+    # histogram
     game = lg.gen_linear_influence(10, 3, 1.0, seed=4)
     session = lg.OracleSession(game, seed=2)
-    probs = random_profile(10, 3, seed=1).probs
-    session.sample_mixed_kaction(probs, 0.3, 0.05)  # builds the buffers and constants
+    profile = random_profile(10, 3, seed=1)
+    rows = oracles.kaction_sample_count(0.3, 0.05, 10, 3)
+    per_row_estimate(session, profile, 0.3, rows)  # builds the buffers and constants
+    tracemalloc.start()
+    try:
+        counts, _ = per_row_estimate(session, profile, 0.3, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert session._histogram is None
+    assert np.all(counts.sum(axis=1) == rows) and rows > 10 * lg.OracleSession._CHUNK
+    assert peak < lg.OracleSession._CHUNK * 10
+
+
+def test_second_widened_histogram_estimate_allocates_less_than_counts_and_a_float_chunk():
+    # the sampled-kaction benchmark setting: 3^10 pure profiles, drawn as one
+    # histogram; the peak holds the multinomial's k^n integer counts, less than
+    # one float chunk besides
+    n, k = 10, 3
+    game = lg.gen_linear_influence(n, k, 1.0, seed=4)
+    session = lg.OracleSession(game, seed=2)
+    probs = random_profile(n, k, seed=1).probs
+    session.sample_mixed_kaction(probs, 0.3, 0.05)  # builds the buffers, profiles and table
     tracemalloc.start()
     try:
         est = session.sample_mixed_kaction(probs, 0.3, 0.05)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert session._draw is None
+    assert session._histogram.profiles.shape == (k ** n, n)
     assert est.samples > 10 * lg.OracleSession._CHUNK
-    assert peak < lg.OracleSession._CHUNK * 10
+    assert peak < k ** n * 8 + BATCH_ROWS * n * 8
 
 
 def test_second_histogram_estimate_allocates_less_than_one_float_chunk():
@@ -322,6 +361,6 @@ def test_second_histogram_estimate_allocates_less_than_one_float_chunk():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert session._profiles.shape == (3 ** 7, 7)
+    assert session._histogram.profiles.shape == (3 ** 7, 7)
     assert est.samples > 10 * lg.OracleSession._CHUNK
     assert peak < BATCH_ROWS * 7 * 8

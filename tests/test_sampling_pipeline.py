@@ -114,21 +114,24 @@ def test_traced_sampling_goldens_keep_their_fingerprints(tmp_path, name):
         assert all(rec["max_error"] <= rec["beta"] == config.beta for rec in records)
 
 
-# the 0.999 quantile of chi-square with n (k - 1) degrees of freedom at n = 5
-CHI2_999 = {5: 20.515, 10: 29.588, 20: 45.315}
+# the 0.999 quantile of chi-square with n (k - 1) degrees of freedom
+CHI2_999 = {5: 20.515, 10: 29.588, 18: 42.312, 20: 45.315}
 
-# (sampler, k, producer, stochastic): k = 2 through both samplers reaches the
+# (sampler, n, k, producer, stochastic): k = 2 through both samplers reaches the
 # binary producer and k = 3 and k = 5 the k-action one, once no game counts as
-# small; every game here has at most BATCH_ROWS pure profiles, so the histogram
-# producer draws it otherwise
+# small; every game here has at most TABLE_PROFILES pure profiles, and at most
+# as many as an estimate's queries, so the histogram producer draws it
+# otherwise.  At n = 9, k = 3 the histogram spans 19,683 profiles, more than
+# one chunk, with 22,901 queries.
 PRODUCERS = [
-    pytest.param("sample_mixed_binary", 2, "_binary_sums", False, id="sample_mixed_binary-2"),
-    pytest.param("sample_mixed_kaction", 2, "_binary_sums", False, id="sample_mixed_kaction-2"),
-    pytest.param("sample_mixed_kaction", 3, "_kaction_sums", False, id="sample_mixed_kaction-3"),
-    pytest.param("sample_mixed_kaction", 5, "_kaction_sums", False, id="sample_mixed_kaction-5"),
-    pytest.param("sample_mixed_binary", 2, "_histogram_sums", False, id="histogram-2"),
-    pytest.param("sample_mixed_kaction", 3, "_histogram_sums", False, id="histogram-3"),
-    pytest.param("sample_mixed_binary", 2, "_histogram_sums", True, id="histogram-stochastic-2"),
+    pytest.param("sample_mixed_binary", 5, 2, "_binary_sums", False, id="sample_mixed_binary-2"),
+    pytest.param("sample_mixed_kaction", 5, 2, "_binary_sums", False, id="sample_mixed_kaction-2"),
+    pytest.param("sample_mixed_kaction", 5, 3, "_kaction_sums", False, id="sample_mixed_kaction-3"),
+    pytest.param("sample_mixed_kaction", 5, 5, "_kaction_sums", False, id="sample_mixed_kaction-5"),
+    pytest.param("sample_mixed_binary", 5, 2, "_histogram_sums", False, id="histogram-2"),
+    pytest.param("sample_mixed_kaction", 5, 3, "_histogram_sums", False, id="histogram-3"),
+    pytest.param("sample_mixed_binary", 5, 2, "_histogram_sums", True, id="histogram-stochastic-2"),
+    pytest.param("sample_mixed_kaction", 9, 3, "_histogram_sums", False, id="histogram-widened-3"),
 ]
 
 
@@ -150,7 +153,7 @@ def estimates_by(producer, game, sampler, probs, count, seed, trace_path=None):
 
     with pytest.MonkeyPatch.context() as patch:
         if producer != "_histogram_sums":
-            patch.setattr(oracles, "BATCH_ROWS", 0)
+            patch.setattr(oracles, "TABLE_PROFILES", 0)
         patch.setattr(lg.OracleSession, producer, spy)
         session = lg.OracleSession(game, seed=seed, trace_path=trace_path)
         ests = [getattr(session, sampler)(probs, 0.5, 0.5) for _ in range(count)]
@@ -159,10 +162,10 @@ def estimates_by(producer, game, sampler, probs, count, seed, trace_path=None):
     return ests
 
 
-@pytest.mark.parametrize("sampler,k,producer,stochastic", PRODUCERS)
-def test_estimates_follow_the_law_of_the_blend(tmp_path, sampler, k, producer, stochastic):
+@pytest.mark.parametrize("sampler,n,k,producer,stochastic", PRODUCERS)
+def test_estimates_follow_the_law_of_the_blend(tmp_path, sampler, n, k, producer, stochastic):
     # no golden hash: each producer's counts and values against the blend's law
-    n, beta, estimates = 5, 0.5, 20
+    beta, estimates = 0.5, 20
     game = law_game(n, k, stochastic)
     probs = random_profile(n, k, seed=1).probs
     ests = estimates_by(producer, game, sampler, probs, estimates, 7, tmp_path / "trace.jsonl")
@@ -190,13 +193,14 @@ def test_estimates_follow_the_law_of_the_blend(tmp_path, sampler, k, producer, s
 SD_RATIO_9995 = 1.7207
 
 
-@pytest.mark.parametrize("sampler,k,stochastic", [
-    pytest.param("sample_mixed_binary", 2, False, id="binary-2"),
-    pytest.param("sample_mixed_kaction", 3, False, id="kaction-3"),
-    pytest.param("sample_mixed_binary", 2, True, id="stochastic-binary-2")])
-def test_histogram_estimates_have_the_law_of_per_row_estimates(sampler, k, stochastic):
-    # one game and profile through both sides of the k^n <= BATCH_ROWS rule
-    n, estimates = 5, 40
+@pytest.mark.parametrize("sampler,n,k,stochastic", [
+    pytest.param("sample_mixed_binary", 5, 2, False, id="binary-2"),
+    pytest.param("sample_mixed_kaction", 5, 3, False, id="kaction-3"),
+    pytest.param("sample_mixed_binary", 5, 2, True, id="stochastic-binary-2"),
+    pytest.param("sample_mixed_kaction", 9, 3, False, id="kaction-widened-3")])
+def test_histogram_estimates_have_the_law_of_per_row_estimates(sampler, n, k, stochastic):
+    # one game and profile through both sides of the k^n <= TABLE_PROFILES rule
+    estimates = 40
     game = law_game(n, k, stochastic)
     probs = random_profile(n, k, seed=2).probs
     per_row = "_binary_sums" if k == 2 else "_kaction_sums"
@@ -209,3 +213,60 @@ def test_histogram_estimates_have_the_law_of_per_row_estimates(sampler, k, stoch
     ratio = (np.array([est.values for est in hist]).std(axis=0, ddof=1)
              / np.array([est.values for est in rows]).std(axis=0, ddof=1))
     assert np.all((1.0 / SD_RATIO_9995 < ratio) & (ratio < SD_RATIO_9995))
+
+
+@pytest.mark.parametrize("sampler,n,k,betas", [
+    # 2^12 = 4,096 profiles: 5,258 queries at beta = 0.4, 2,692 at 0.5
+    pytest.param("sample_mixed_binary", 12, 2, (0.4, 0.5), id="binary-2"),
+    # 3^9 = 19,683 profiles: 22,901 queries at beta = 0.5, 20,359 at 0.52,
+    # 17,206 at 0.55
+    pytest.param("sample_mixed_kaction", 9, 3, (0.5, 0.52, 0.55), id="kaction-3")])
+def test_one_game_is_drawn_as_a_histogram_only_with_as_many_queries_as_profiles(
+        monkeypatch, sampler, n, k, betas):
+    # one game on both sides of k^n = N, N the estimate's query count, through
+    # the unpatched rule
+    drawn = []
+    for name in ("_histogram_sums", "_binary_sums", "_kaction_sums"):
+        original = getattr(lg.OracleSession, name)
+
+        def spy(self, *args, name=name, original=original):
+            drawn.append(name)
+            return original(self, *args)
+        monkeypatch.setattr(lg.OracleSession, name, spy)
+    session = lg.OracleSession(law_game(n, k, False), seed=0)
+    probs = random_profile(n, k, seed=5).probs
+    per_row = "_binary_sums" if k == 2 else "_kaction_sums"
+    want = []
+    for beta in betas:
+        est = getattr(session, sampler)(probs, beta, 0.5)
+        want.append("_histogram_sums" if k ** n <= est.samples else per_row)
+        assert np.all(est.counts.sum(axis=1) == est.samples)
+    assert drawn == want
+    assert set(want) == {"_histogram_sums", per_row}
+
+
+@pytest.mark.parametrize("chunk", (17, 4096))
+@pytest.mark.parametrize("sampler,n,k", [
+    pytest.param("sample_mixed_binary", 10, 2, id="binary-2"),
+    pytest.param("sample_mixed_kaction", 9, 3, id="kaction-3")])
+def test_histogram_counts_equal_a_recount_of_the_answered_rows(sampler, n, k, chunk):
+    # the counts are read off the multinomial, not off the rows; they must be
+    # the per-cell counts of the rows that payoffs_batch answered, bit for bit
+    game = law_game(n, k, False)
+    session = lg.OracleSession(game, seed=6)
+    session._CHUNK = chunk
+    answered = []
+    pure_batch = session._pure_batch
+
+    def record(actions, out=None):
+        answered.append(actions.copy())  # the rows buffer is reused
+        return pure_batch(actions, out)
+
+    session._pure_batch = record
+    est = getattr(session, sampler)(random_profile(n, k, seed=6).probs, 0.5, 0.5)
+    assert session._draw is None  # the histogram producer drew the rows
+    rows = np.concatenate(answered)
+    assert rows.shape == (est.samples, n) and est.samples % chunk != 0
+    recount = np.stack([np.bincount(col.astype(np.intp), minlength=k) for col in rows.T])
+    assert np.array_equal(est.counts, recount.astype(float))
+    assert est.counts.dtype == np.float64
